@@ -34,6 +34,7 @@ from .coverage import (
     ConvergenceSeries,
     EmptyReferenceSetError,
     ReferenceSet,
+    ReferenceSetIntegrityError,
     build_reference_set,
     cid,
     convergence_series,

@@ -18,6 +18,7 @@ from .nsga2 import (
     environmental_selection,
     fast_nondominated_sort,
     novelty_distance,
+    novelty_distances,
     polynomial_mutation,
     run_nsga2,
     run_nsga2d,
@@ -71,6 +72,7 @@ __all__ = [
     "fast_nondominated_sort",
     "inertia_at",
     "novelty_distance",
+    "novelty_distances",
     "polynomial_mutation",
     "reflect_boundary",
     "run_algorithm",

@@ -207,22 +207,40 @@ class NoveltyArchive:
     """Failure archive with a minimum-distance admission gate.
 
     Candidates are processed sequentially: each accepted member immediately
-    affects the admission of later candidates in the same generation.
+    affects the admission of later candidates in the same generation. The
+    members are also held as one ``(n, d)`` matrix, built on first use and
+    dropped by each insert, so a whole population is measured in one query.
     """
 
     threshold: float
     members: list[np.ndarray] = field(default_factory=list)
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
 
+    def member_matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = np.array(self.members)
+        return self._matrix
+
+
+def novelty_distances(archive: NoveltyArchive, candidates: np.ndarray) -> np.ndarray:
+    """Distance from each candidate row to its nearest archive member; +inf when empty.
+
+    Each row is bit-identical to ``np.min(np.linalg.norm(members - x, axis=1))``:
+    the same differences, squares, sums over the last axis and square roots.
+    """
+    X = np.asarray(candidates, dtype=float)
+    if not archive.members:
+        return np.full(len(X), math.inf)
+    diff = archive.member_matrix()[None, :, :] - X[:, None, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1)).min(axis=1)
+
 
 def novelty_distance(archive: NoveltyArchive, candidate: np.ndarray) -> float:
     """Euclidean distance to the nearest archive member; +inf for an empty archive."""
-    if not archive.members:
-        return math.inf
-    member_matrix = np.array(archive.members)
-    return float(np.min(np.linalg.norm(member_matrix - np.asarray(candidate, float), axis=1)))
+    return float(novelty_distances(archive, np.asarray(candidate, float)[None, :])[0])
 
 
 def archive_insert(archive: NoveltyArchive, candidate: np.ndarray) -> bool:
@@ -231,6 +249,7 @@ def archive_insert(archive: NoveltyArchive, candidate: np.ndarray) -> bool:
     if archive.members and novelty_distance(archive, candidate) <= archive.threshold:
         return False
     archive.members.append(candidate)
+    archive._matrix = None
     return True
 
 
@@ -313,9 +332,9 @@ def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> Ru
     n_replace = math.ceil(config.repopulation_fraction * base.population_size)
     pending_failures: list[np.ndarray] = []
 
-    def record(x: np.ndarray) -> np.ndarray:
+    def record(x: np.ndarray, novelty: float) -> np.ndarray:
         ev = log.evaluate(x)
-        ev.novelty = novelty_distance(archive, x)
+        ev.novelty = float(novelty)
         if ev.failed:
             pending_failures.append(ev.input)
         return ev.fitness
@@ -326,24 +345,25 @@ def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> Ru
         pending_failures.clear()
 
     def augmented(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        novelty = np.array([novelty_distance(archive, x) for x in pop])
-        return np.column_stack([fit, -novelty])
+        return np.column_stack([fit, -novelty_distances(archive, pop)])
 
     population = lhs_sample(space, base.population_size, rng).points
-    fitness = np.array([record(x) for x in population])
+    fitness = np.array([record(x, math.inf) for x in population])  # the archive is empty
     commit_failures()
     ranks, crowding = rank_and_crowd(augmented(population, fitness))
 
     while log.remaining > 0:
         log.generation += 1
         offspring = _make_offspring(space, population, ranks, crowding, base, rng)
+        # The archive changes only in commit_failures, so one query serves the batch.
+        offspring_novelty = novelty_distances(archive, np.array(offspring))
         evaluated: list[np.ndarray] = []
         child_fitness: list[np.ndarray] = []
-        for child in offspring:
+        for child, novelty in zip(offspring, offspring_novelty):
             if log.remaining <= 0:
                 break
             evaluated.append(child)
-            child_fitness.append(record(child))
+            child_fitness.append(record(child, novelty))
         combined = np.concatenate([population, np.array(evaluated)])
         combined_fitness = np.concatenate([fitness, np.array(child_fitness)])
         survivors = environmental_selection(augmented(combined, combined_fitness),
@@ -362,7 +382,7 @@ def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> Ru
                     break
                 fresh = rng.uniform(space.lows, space.highs)
                 population[i] = fresh
-                fitness[i] = record(fresh)
+                fitness[i] = record(fresh, novelty_distance(archive, fresh))
 
         commit_failures()
         ranks, crowding = rank_and_crowd(augmented(population, fitness))

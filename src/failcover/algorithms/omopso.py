@@ -80,48 +80,60 @@ def reflect_boundary(
 class LeaderArchive:
     """Bounded archive of mutually non-dominated solutions.
 
-    Insertion filters by dominance; overflow evicts the most crowded member
-    (lowest crowding distance, first index on ties).
+    Members are the rows of ``positions`` (n, d) and ``fitness`` (n, m), in
+    insertion order. Insertion filters by dominance with one mask over the
+    fitness matrix per direction; overflow evicts the most crowded member
+    (lowest crowding distance, first index on ties). The crowding distances
+    that leader selection reads are computed on first use and cached until
+    the next accepted insert; a rejected insert changes nothing.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"archive capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.positions: list[np.ndarray] = []
-        self.fitness: list[np.ndarray] = []
+        self.positions = np.empty((0, 0))
+        self.fitness = np.empty((0, 0))
+        self._crowding: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
 
-    def fitness_matrix(self) -> np.ndarray:
-        return np.array(self.fitness)
-
     def add(self, position: np.ndarray, fitness: np.ndarray) -> bool:
         """Insert unless dominated; evict members the candidate dominates."""
-        if any(dominates(f, fitness) for f in self.fitness):
-            return False
-        keep = [i for i, f in enumerate(self.fitness) if not dominates(fitness, f)]
-        if len(keep) < len(self.fitness):
-            self.positions = [self.positions[i] for i in keep]
-            self.fitness = [self.fitness[i] for i in keep]
-        self.positions.append(np.array(position, dtype=float))
-        self.fitness.append(np.array(fitness, dtype=float))
-        while len(self.positions) > self.capacity:
-            crowd = crowding_distance(self.fitness_matrix())
-            evict = int(np.argmin(crowd))
-            self.positions.pop(evict)
-            self.fitness.pop(evict)
+        position = np.array(position, dtype=float)
+        fitness = np.array(fitness, dtype=float)
+        if len(self):
+            # Row i of these masks compares member i with the candidate, with the
+            # <= and < of core.dominates. Fitness is finite, so the candidate
+            # dominates member i exactly when neither mask holds for that row.
+            no_worse = np.all(self.fitness <= fitness, axis=1)
+            better = np.any(self.fitness < fitness, axis=1)
+            if np.any(no_worse & better):
+                return False
+            keep = no_worse | better
+            self.positions = np.vstack([self.positions[keep], position])
+            self.fitness = np.vstack([self.fitness[keep], fitness])
+        else:
+            self.positions = position[None, :]
+            self.fitness = fitness[None, :]
+        if len(self) > self.capacity:
+            evict = int(np.argmin(crowding_distance(self.fitness)))
+            self.positions = np.delete(self.positions, evict, axis=0)
+            self.fitness = np.delete(self.fitness, evict, axis=0)
+        self._crowding = None
         return True
 
     def select_leader(self, rng: np.random.Generator) -> np.ndarray:
         """Binary tournament on crowding distance (less crowded member wins)."""
-        if not self.positions:
+        if not len(self):
             raise ValueError("cannot select a leader from an empty archive")
-        if len(self.positions) == 1:
+        if len(self) == 1:
             return self.positions[0]
-        i, j = (int(v) for v in rng.integers(len(self.positions), size=2))
-        crowd = crowding_distance(self.fitness_matrix())
+        i, j = (int(v) for v in rng.integers(len(self), size=2))
+        if self._crowding is None:
+            self._crowding = crowding_distance(self.fitness)
+        crowd = self._crowding
         if crowd[i] == crowd[j]:
             return self.positions[i]
         return self.positions[i] if crowd[i] > crowd[j] else self.positions[j]
@@ -191,7 +203,7 @@ def run_omopso(
     for i in range(swarm):
         archive.add(positions[i], fitness[i])
     if archive_monitor is not None:
-        archive_monitor(archive.fitness_matrix())
+        archive_monitor(archive.fitness)
 
     while log.remaining > 0:
         log.generation += 1
@@ -236,6 +248,6 @@ def run_omopso(
                 pbest_fit[i] = ev.fitness.copy()
             archive.add(positions[i], ev.fitness)
         if archive_monitor is not None:
-            archive_monitor(archive.fitness_matrix())
+            archive_monitor(archive.fitness)
 
     return log.history("omopso", seed)

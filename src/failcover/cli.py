@@ -5,7 +5,7 @@ build a reference set, run a configured experiment, score a point set,
 compare algorithms, and render the report.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error (including an
-empty reference set).
+empty reference set or one modified after it was saved).
 """
 
 from __future__ import annotations

@@ -28,7 +28,11 @@ from scipy.spatial.distance import cdist
 
 from .core import RunHistory, SearchSpace
 from .problems import SyntheticProblem
-from .samplers import grid_step_diagonal, sample_by_name
+from .samplers import grid_step_diagonal, make_rng, sample_by_name
+
+
+class ReferenceSetIntegrityError(RuntimeError):
+    """A persisted reference set's points no longer match its sidecar's content hash."""
 
 
 class EmptyReferenceSetError(RuntimeError):
@@ -223,9 +227,8 @@ def build_reference_set(
     problem = synthetic.problem
 
     if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        key = _cache_key(problem.name, problem.oracle.variant_label, strategy, params)
-        csv_path = cache_dir / f"refset-{key}.csv"
+        key = _cache_key(synthetic, strategy, params)
+        csv_path = Path(cache_dir) / f"refset-{_digest(key)[:12]}.csv"
         if csv_path.exists():
             return load_reference_set(csv_path)
 
@@ -255,14 +258,39 @@ def build_reference_set(
         max_adjacent_distance=r_star,
     )
     if cache_dir is not None:
-        save_reference_set(refset, csv_path)
+        save_reference_set(refset, csv_path, cache_key=key)
     return refset
 
 
-def _cache_key(problem: str, variant: str, strategy: str, params: dict) -> str:
-    spec = {"problem": problem, "variant": variant, "strategy": strategy, "params": params}
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+#: Bumped whenever the cache key or the persisted format changes meaning.
+_CACHE_FORMAT = 2
+
+
+def _cache_key(synthetic: SyntheticProblem, strategy: str, params: dict) -> dict:
+    """Everything that decides a cached reference set's points.
+
+    The oracle clauses carry custom thresholds, which keep the variant label.
+    Problem parameters that move the fitness itself (two_ball's centers,
+    two_region's boxes) show in the fitness at a fixed set of probe points.
+    """
+    problem = synthetic.problem
+    probe = make_rng(0).uniform(problem.space.lows, problem.space.highs,
+                                size=(16, problem.space.dims))
+    return {
+        "format": _CACHE_FORMAT,
+        "problem": problem.name,
+        "variant": problem.oracle.variant_label,
+        "clauses": [list(clause) for clause in problem.oracle.clauses],
+        "bounds": [list(bound) for bound in problem.space.bounds],
+        "fitness_probe": hashlib.sha256(synthetic.fitness_batch(probe).tobytes()).hexdigest(),
+        "strategy": strategy,
+        "params": params,
+    }
+
+
+def _digest(key: dict) -> str:
+    blob = json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _points_csv_bytes(points: np.ndarray) -> bytes:
@@ -271,8 +299,14 @@ def _points_csv_bytes(points: np.ndarray) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def save_reference_set(refset: ReferenceSet, csv_path: str | Path) -> Path:
-    """Write the points CSV (header x1..xn) and the JSON provenance sidecar."""
+def save_reference_set(
+    refset: ReferenceSet, csv_path: str | Path, cache_key: dict | None = None
+) -> Path:
+    """Write the points CSV (header x1..xn) and the JSON provenance sidecar.
+
+    ``cache_key``, when given, is recorded in the sidecar so a cached file
+    states what it was built for.
+    """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     payload = _points_csv_bytes(refset.points)
@@ -286,21 +320,33 @@ def save_reference_set(refset: ReferenceSet, csv_path: str | Path) -> Path:
         "max_adjacent_distance": refset.max_adjacent_distance,
         "content_hash": hashlib.sha256(payload).hexdigest(),
     }
+    if cache_key is not None:
+        sidecar["cache_key"] = cache_key
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return csv_path
 
 
 def load_reference_set(csv_path: str | Path) -> ReferenceSet:
-    """Read a persisted reference set; the sidecar is optional but preferred."""
+    """Read a persisted reference set; the sidecar is optional but preferred.
+
+    When the sidecar records a ``content_hash``, the CSV bytes must match it,
+    or :class:`ReferenceSetIntegrityError` is raised.
+    """
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    payload = csv_path.read_bytes()
+    rows = list(csv.reader(payload.decode().splitlines()))
     if not rows or not rows[0] or not rows[0][0].startswith("x"):
         raise ValueError(f"{csv_path}: expected a header row x1,...,xn")
     points = np.array([[float(v) for v in row] for row in rows[1:]])
     sidecar_path = csv_path.with_suffix(".json")
     if sidecar_path.exists():
         meta = json.loads(sidecar_path.read_text())
+        expected = meta.get("content_hash")
+        if expected is not None and hashlib.sha256(payload).hexdigest() != expected:
+            raise ReferenceSetIntegrityError(
+                f"{csv_path}: content does not match the sidecar's content_hash; "
+                "the file was modified after it was written"
+            )
         return ReferenceSet(
             points=points,
             problem_name=meta.get("problem", "unknown"),

@@ -360,7 +360,7 @@ def test_leader_archive_truncates_to_capacity():
         f1 = rng.uniform(0, 1)
         archive.add(rng.uniform(0, 1, 2), np.array([f1, 1.0 - f1]))
         assert len(archive) <= 5
-        fits = archive.fitness_matrix()
+        fits = archive.fitness
         for i in range(len(fits)):
             for j in range(len(fits)):
                 if i != j:

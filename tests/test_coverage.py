@@ -10,6 +10,7 @@ from failcover.core import Evaluation, RunHistory, SearchSpace
 from failcover.coverage import (
     CidParams,
     EmptyReferenceSetError,
+    ReferenceSetIntegrityError,
     build_reference_set,
     cid,
     convergence_series,
@@ -290,6 +291,46 @@ def test_refset_cache_round_trip_byte_identical(tmp_path):
     np.testing.assert_array_equal(first.points, second.points)
     assert second.total_sampled == first.total_sampled
     assert second.max_adjacent_distance == first.max_adjacent_distance
+
+
+def test_refset_cache_keyed_on_oracle_thresholds(tmp_path):
+    spec = {"strategy": "grid", "params": {"k": 64}}
+    build_reference_set(get_problem("two_ball", "Large"), spec, cache_dir=tmp_path)
+    # Same name, label and sampler, but discs too small to hold a grid node.
+    tight = get_problem("two_ball", "Large", t1=0.05, t2=0.05)
+    with pytest.raises(EmptyReferenceSetError):
+        build_reference_set(tight, spec, cache_dir=tmp_path)
+
+
+def test_refset_cache_keyed_on_fitness_parameters(tmp_path):
+    spec = {"strategy": "grid", "params": {"k": 32}}
+    near = build_reference_set(get_problem("two_ball", "Large"), spec, cache_dir=tmp_path)
+    apart = get_problem("two_ball", "Large", c1=[0.3, 0.5], c2=[0.7, 0.5])
+    cached = build_reference_set(apart, spec, cache_dir=tmp_path)
+    np.testing.assert_array_equal(cached.points, build_reference_set(apart, spec).points)
+    assert len(cached) != len(near)
+    assert len(list(tmp_path.glob("refset-*.csv"))) == 2
+
+
+def test_refset_cache_sidecar_records_key(tmp_path):
+    sp = get_problem("two_ball", "Large", t1=0.2, t2=0.25)
+    build_reference_set(sp, {"strategy": "grid", "params": {"k": 16}}, cache_dir=tmp_path)
+    (sidecar,) = tmp_path.glob("refset-*.json")
+    key = json.loads(sidecar.read_text())["cache_key"]
+    assert key["clauses"] == [[0, 0.2], [1, 0.25]]
+    assert key["problem"] == "two_ball" and key["variant"] == "Large"
+    assert key["strategy"] == "grid" and key["params"] == {"k": 16}
+
+
+def test_refset_load_rejects_tampered_points(tmp_path):
+    sp = build_two_ball("Large")
+    refset = build_reference_set(sp, {"strategy": "grid", "params": {"k": 16}})
+    path = save_reference_set(refset, tmp_path / "ref.csv")
+    text = path.read_text()
+    digit = next(i for i, ch in enumerate(text) if ch in "123456789" and i > text.index("\n"))
+    path.write_text(text[:digit] + str(int(text[digit]) % 9 + 1) + text[digit + 1 :])
+    with pytest.raises(ReferenceSetIntegrityError, match="content_hash"):
+        load_reference_set(path)
 
 
 def test_refset_save_load_round_trip(tmp_path):

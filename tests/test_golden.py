@@ -1,0 +1,69 @@
+"""Golden digests: the exact bytes of ``runs.csv`` and ``cid_series.csv`` for one
+small config per algorithm.
+
+A refactor or speed-up that must not change results keeps these hashes. A
+change that alters them on purpose records the new values and the reason in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from failcover.harness import parse_config, run_experiment
+
+
+def golden_config(problem: str, algorithm: str, params: dict, k: int) -> dict:
+    return {
+        "problem": {"name": problem, "variant": "Large"},
+        "algorithms": [{"name": algorithm, "params": params}],
+        "budget": 400,
+        "repetitions": 1,
+        "base_seed": 11,
+        "refset": {"strategy": "grid", "params": {"k": k}},
+    }
+
+
+GOLDEN = {
+    "two_ball-rs": (
+        golden_config("two_ball", "rs", {}, 64),
+        "bd49b77e371eeb810b02ab34bc0166df26094e7270b88ae26f1cd8b7fd87beac",
+        "cdd5b9b4b0cfce94dae7b4f13d9f48cb4cc15ea5e4a7c45232b5f657cedb86f7",
+    ),
+    "two_ball-nsga2": (
+        golden_config("two_ball", "nsga2", {}, 64),
+        "2f609b5bdff8bf98161bba021b694024ace5bd5086f4b709a519385920453724",
+        "bc8ebb989c19dddd20ae17e0a45dbb3994b56653a696a05575ec410b27ad1c68",
+    ),
+    "two_ball-nsga2d": (
+        golden_config("two_ball", "nsga2d", {}, 64),
+        "89b4fb2d7ad2eb338f573ef111932bf4fee555f6d1ca833a552093ed344b92ab",
+        "84fc4fb7013dafde0a82b35cb930e14fa61f32e551b382ce586ad36240993f48",
+    ),
+    "two_ball-omopso": (
+        golden_config("two_ball", "omopso", {}, 64),
+        "48b4cf3dfa4b215aae7217f65b63588b6f12fe643f094ea139dc7795cc6241c7",
+        "214b197b88e0a0195f173ef6f73016718d7cd974d898b3c44fc8ccd46e8895b9",
+    ),
+    # An archive of 10 under a swarm of 40 overflows on nearly every insert,
+    # so this pins the crowding eviction order.
+    "avp_analog-omopso-evicting": (
+        golden_config("avp_analog", "omopso", {"swarm_size": 40, "archive_size": 10}, 32),
+        "a95930558cf37d535c8b5755eb7dd0cdf2132908d48dbb73b8ae865fef6d768d",
+        "a0e2f306117a2f6c1cce8ac372cf955d2f11a318d7f856c7e371b642268a2507",
+    ),
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_result_bytes_match_golden_digest(name, tmp_path):
+    raw, runs_sha, series_sha = GOLDEN[name]
+    run_experiment(parse_config(raw), tmp_path)
+    assert (sha256_of(tmp_path / "runs.csv"), sha256_of(tmp_path / "cid_series.csv")) == (
+        runs_sha,
+        series_sha,
+    )

@@ -420,3 +420,17 @@ def test_cli_empty_refset_exit_code(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_tampered_refset_exit_code(tmp_path):
+    refset_path = tmp_path / "ref.csv"
+    assert cli_main([
+        "refset", "--problem", "two_ball", "--strategy", "grid",
+        "--params", '{"k": 24}', "--out", str(refset_path),
+    ]) == 0
+    lines = refset_path.read_text().splitlines()
+    lines[1] += "1"  # one extra digit on the first point's last coordinate
+    refset_path.write_text("\n".join(lines) + "\n")
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text("x1,x2\n0.5,0.5\n")
+    assert cli_main(["cid", "--refset", str(refset_path), "--points", str(points_path)]) == 2
