@@ -11,6 +11,7 @@ from .algorithms import (
     Nsga2Config,
     NsgaDConfig,
     OmopsoConfig,
+    RandomSearchConfig,
     run_algorithm,
     run_nsga2,
     run_nsga2d,
@@ -26,7 +27,6 @@ from .core import (
     RunLog,
     SearchSpace,
     dominates,
-    oracle_eval,
     unit_box,
 )
 from .coverage import (

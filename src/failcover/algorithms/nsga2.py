@@ -28,7 +28,7 @@ class Nsga2Config:
 
     def __post_init__(self) -> None:
         if self.population_size < 4 or self.population_size % 2 != 0:
-            raise ValueError(f"population size must be even and >= 4, got {self.population_size}")
+            raise ValueError(f"population_size must be even and >= 4, got {self.population_size}")
         for name in ("crossover_rate", "mutation_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
@@ -40,19 +40,19 @@ class Nsga2Config:
 
 
 @dataclass(frozen=True)
-class NsgaDConfig:
-    base: Nsga2Config = Nsga2Config()
+class NsgaDConfig(Nsga2Config):
     #: Euclidean admission threshold of the novelty archive, in search-space
     #: units. 0.1 suits unit boxes; see the avp/mnist presets for other scales.
     archive_threshold: float = 0.1
     repopulation_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.archive_threshold <= 0:
-            raise ValueError(f"archive threshold must be positive, got {self.archive_threshold}")
+            raise ValueError(f"archive_threshold must be positive, got {self.archive_threshold}")
         if not 0.0 < self.repopulation_fraction <= 0.5:
             raise ValueError(
-                f"repopulation fraction must be in (0, 0.5], got {self.repopulation_fraction}"
+                f"repopulation_fraction must be in (0, 0.5], got {self.repopulation_fraction}"
             )
 
 
@@ -324,12 +324,11 @@ def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> Ru
     After each selection the most dominated survivors (worst front first,
     lowest crowding first) are replaced by fresh uniform samples.
     """
-    base = config.base
     rng = make_rng(seed)
-    log = RunLog(problem, base.budget)
+    log = RunLog(problem, config.budget)
     space = problem.space
     archive = NoveltyArchive(threshold=config.archive_threshold)
-    n_replace = math.ceil(config.repopulation_fraction * base.population_size)
+    n_replace = math.ceil(config.repopulation_fraction * config.population_size)
     pending_failures: list[np.ndarray] = []
 
     def record(x: np.ndarray, novelty: float) -> np.ndarray:
@@ -347,14 +346,14 @@ def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> Ru
     def augmented(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
         return np.column_stack([fit, -novelty_distances(archive, pop)])
 
-    population = lhs_sample(space, base.population_size, rng).points
+    population = lhs_sample(space, config.population_size, rng).points
     fitness = np.array([record(x, math.inf) for x in population])  # the archive is empty
     commit_failures()
     ranks, crowding = rank_and_crowd(augmented(population, fitness))
 
     while log.remaining > 0:
         log.generation += 1
-        offspring = _make_offspring(space, population, ranks, crowding, base, rng)
+        offspring = _make_offspring(space, population, ranks, crowding, config, rng)
         # The archive changes only in commit_failures, so one query serves the batch.
         offspring_novelty = novelty_distances(archive, np.array(offspring))
         evaluated: list[np.ndarray] = []
@@ -367,7 +366,7 @@ def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> Ru
         combined = np.concatenate([population, np.array(evaluated)])
         combined_fitness = np.concatenate([fitness, np.array(child_fitness)])
         survivors = environmental_selection(augmented(combined, combined_fitness),
-                                            base.population_size)
+                                            config.population_size)
         population = combined[survivors]
         fitness = combined_fitness[survivors]
 

@@ -32,15 +32,15 @@ class OmopsoConfig:
 
     def __post_init__(self) -> None:
         if self.swarm_size < 1:
-            raise ValueError(f"swarm size must be positive, got {self.swarm_size}")
+            raise ValueError(f"swarm_size must be positive, got {self.swarm_size}")
         if not 0.0 < self.w_min < self.w_max < 1.0:
             raise ValueError(
                 f"need 0 < w_min < w_max < 1, got ({self.w_min}, {self.w_max})"
             )
         if self.archive_size is not None and self.archive_size < 1:
-            raise ValueError(f"archive size must be positive, got {self.archive_size}")
+            raise ValueError(f"archive_size must be positive, got {self.archive_size}")
         if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError(f"mutation rate must be in [0, 1], got {self.mutation_rate}")
+            raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
         if self.budget < self.swarm_size:
             raise ValueError(
                 f"budget ({self.budget}) must cover one swarm pass ({self.swarm_size})"

@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..core import ProblemDefinition, RunHistory, RunLog
 from ..samplers import make_rng
 
 
+@dataclass(frozen=True)
+class RandomSearchConfig:
+    batch_size: int = 40
+    budget: int = 2000
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+
+
 def run_random_search(
-    problem: ProblemDefinition, budget: int, batch_size: int, seed: int
+    problem: ProblemDefinition, config: RandomSearchConfig, seed: int
 ) -> RunHistory:
     """Uniform random search; ``batch_size`` groups evaluations into pseudo-generations.
 
     The generation index floor(index / batch_size) makes iteration counts
     comparable with population-based algorithms run at that population size.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch size must be positive, got {batch_size}")
     rng = make_rng(seed)
-    log = RunLog(problem, budget)
+    log = RunLog(problem, config.budget)
     space = problem.space
     while log.remaining > 0:
-        log.generation = log.used // batch_size
+        log.generation = log.used // config.batch_size
         log.evaluate(rng.uniform(space.lows, space.highs))
     return log.history("rs", seed)

@@ -11,12 +11,9 @@ empty reference set or one modified after it was saved).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .coverage import (
     CidParams,
@@ -24,6 +21,7 @@ from .coverage import (
     build_reference_set,
     cid,
     load_reference_set,
+    read_points,
     save_reference_set,
 )
 from .harness import ConfigError, compare, emit_report, load_config, run_experiment
@@ -72,14 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_points(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or not rows[0][0].startswith("x"):
-        raise ValueError(f"{path}: expected a CSV with header x1,...,xn")
-    return np.array([[float(v) for v in row] for row in rows[1:]])
-
-
 def _cmd_problems_list() -> int:
     for name, entry in sorted(CATALOG.items()):
         print(f"{name}: {entry.dims}-D input, {entry.objective_count} objectives")
@@ -112,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_cid(args: argparse.Namespace) -> int:
     refset = load_reference_set(args.refset)
-    points = _read_points(args.points)
+    points = read_points(args.points)
     value = cid(points, refset, CidParams(p=args.p, q=args.q))
     print(repr(value))
     return 0

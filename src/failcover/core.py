@@ -112,19 +112,23 @@ class OracleSpec:
                 raise ValueError(f"objective index must be non-negative, got {i}")
         object.__setattr__(self, "clauses", clauses)
 
-    @property
+    @cached_property
     def max_index(self) -> int:
         return max(i for i, _ in self.clauses)
 
-
-def oracle_eval(oracle: OracleSpec, fitness: Sequence[float] | np.ndarray) -> bool:
-    """True (failure) iff every oracle clause's strict inequality holds."""
-    f = np.asarray(fitness, dtype=float)
-    if oracle.max_index >= f.shape[0]:
-        raise ValueError(
-            f"oracle refers to objective {oracle.max_index} but fitness has {f.shape[0]} values"
-        )
-    return all(f[i] < threshold for i, threshold in oracle.clauses)
+    def mask(self, fitness: Sequence[float] | np.ndarray) -> np.ndarray | np.bool_:
+        """Failure verdict of one fitness vector, or of each row of an (n, m) matrix."""
+        f = np.asarray(fitness, dtype=float)
+        if self.max_index >= f.shape[-1]:
+            raise ValueError(
+                f"oracle refers to objective {self.max_index} but fitness has {f.shape[-1]} values"
+            )
+        objectives = f.T  # objectives[i] is f[..., i] for a vector or a matrix
+        (i, threshold), *rest = self.clauses
+        failed = objectives[i] < threshold
+        for i, threshold in rest:
+            failed = failed & (objectives[i] < threshold)
+        return failed
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,7 @@ class RunLog:
             index=self.used,
             input=x,
             fitness=f,
-            failed=oracle_eval(self.problem.oracle, f),
+            failed=bool(self.problem.oracle.mask(f)),
             generation=self.generation,
         )
         self.evaluations.append(ev)

@@ -233,10 +233,7 @@ def build_reference_set(
             return load_reference_set(csv_path)
 
     batch = sample_by_name(problem.space, strategy, params)
-    fitness = synthetic.fitness_batch(batch.points)
-    failing = np.ones(len(batch.points), dtype=bool)
-    for i, threshold in problem.oracle.clauses:
-        failing &= fitness[:, i] < threshold
+    failing = problem.oracle.mask(synthetic.fitness_batch(batch.points))
     points = _dedupe_preserving_order(batch.points[failing])
     if len(points) == 0:
         raise EmptyReferenceSetError(
@@ -269,9 +266,9 @@ _CACHE_FORMAT = 2
 def _cache_key(synthetic: SyntheticProblem, strategy: str, params: dict) -> dict:
     """Everything that decides a cached reference set's points.
 
-    The oracle clauses carry custom thresholds, which keep the variant label.
-    Problem parameters that move the fitness itself (two_ball's centers,
-    two_region's boxes) show in the fitness at a fixed set of probe points.
+    The oracle clauses carry the thresholds. Problem parameters that move the
+    fitness itself (two_ball's centers, two_region's boxes) show in the fitness
+    at a fixed set of probe points.
     """
     problem = synthetic.problem
     probe = make_rng(0).uniform(problem.space.lows, problem.space.highs,
@@ -297,6 +294,19 @@ def _points_csv_bytes(points: np.ndarray) -> bytes:
     lines = [",".join(f"x{j + 1}" for j in range(points.shape[1]))]
     lines.extend(",".join(repr(float(v)) for v in row) for row in points)
     return ("\n".join(lines) + "\n").encode()
+
+
+def _parse_points_csv(payload: bytes, source: Path) -> np.ndarray:
+    rows = list(csv.reader(payload.decode().splitlines()))
+    if not rows or not rows[0] or not rows[0][0].startswith("x"):
+        raise ValueError(f"{source}: expected a header row x1,...,xn")
+    return np.array([[float(v) for v in row] for row in rows[1:]])
+
+
+def read_points(csv_path: str | Path) -> np.ndarray:
+    """Read a point CSV with header x1,...,xn, as written by :func:`save_reference_set`."""
+    csv_path = Path(csv_path)
+    return _parse_points_csv(csv_path.read_bytes(), csv_path)
 
 
 def save_reference_set(
@@ -334,10 +344,7 @@ def load_reference_set(csv_path: str | Path) -> ReferenceSet:
     """
     csv_path = Path(csv_path)
     payload = csv_path.read_bytes()
-    rows = list(csv.reader(payload.decode().splitlines()))
-    if not rows or not rows[0] or not rows[0][0].startswith("x"):
-        raise ValueError(f"{csv_path}: expected a header row x1,...,xn")
-    points = np.array([[float(v) for v in row] for row in rows[1:]])
+    points = _parse_points_csv(payload, csv_path)
     sidecar_path = csv_path.with_suffix(".json")
     if sidecar_path.exists():
         meta = json.loads(sidecar_path.read_text())

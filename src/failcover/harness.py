@@ -21,13 +21,17 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Any, TextIO
 
 import numpy as np
 
-from .algorithms import ALGORITHM_NAMES, run_algorithm
+from .algorithms import ALGORITHM_NAMES, REGISTRY, make_config, run_algorithm
 from .core import RunHistory
 from .coverage import (
     CidParams,
@@ -48,40 +52,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
 
 
-#: Named hyperparameter presets at the two studied scales.
-PRESETS: dict[str, dict[str, dict]] = {
-    "rs": {"avp": {"batch_size": 40}, "mnist": {"batch_size": 20}},
-    "nsga2": {"avp": {"population_size": 40}, "mnist": {"population_size": 20}},
-    "nsga2d": {
-        "avp": {"population_size": 40, "archive_threshold": 0.29},
-        "mnist": {"population_size": 20, "archive_threshold": 1.77},
-    },
-    "omopso": {"avp": {"swarm_size": 40}, "mnist": {"swarm_size": 20}},
-}
-
-_ALGORITHM_PARAM_KEYS = {
-    "rs": {"batch_size"},
-    "nsga2": {"population_size", "crossover_rate", "mutation_rate", "sbx_eta", "pm_eta"},
-    "nsga2d": {
-        "population_size",
-        "crossover_rate",
-        "mutation_rate",
-        "sbx_eta",
-        "pm_eta",
-        "archive_threshold",
-        "repopulation_fraction",
-    },
-    "omopso": {
-        "swarm_size",
-        "archive_size",
-        "w_min",
-        "w_max",
-        "mutation_rate",
-        "c_min",
-        "c_max",
-    },
-}
-
 DEFAULT_REPETITIONS = 10
 DEFAULT_CID_INTERVAL = 100
 
@@ -89,16 +59,15 @@ DEFAULT_CID_INTERVAL = 100
 @dataclass(frozen=True)
 class AlgorithmSpec:
     name: str
-    params: dict = field(default_factory=dict)
+    #: Preset values merged with the config's overrides, as written in the config.
+    params: dict
+    #: The algorithm's config dataclass built from ``params`` and the budget.
+    config: Any
 
     @property
     def batch_size(self) -> int:
         """Generation batch size: population, swarm, or the rs batch parameter."""
-        if self.name == "rs":
-            return int(self.params.get("batch_size", 40))
-        if self.name == "omopso":
-            return int(self.params.get("swarm_size", 40))
-        return int(self.params.get("population_size", 40))
+        return getattr(self.config, REGISTRY[self.name].batch_field)
 
 
 @dataclass(frozen=True)
@@ -181,6 +150,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.problem.params: {exc}") from exc
 
+    budget = int(_require(raw, "budget", "config"))
+    if budget < 1:
+        raise ConfigError(f"config.budget: must be positive, got {budget}")
+
     raw_algorithms = _require(raw, "algorithms", "config")
     if not isinstance(raw_algorithms, list) or not raw_algorithms:
         raise ConfigError("config.algorithms: expected a non-empty list")
@@ -189,37 +162,27 @@ def parse_config(raw: dict) -> ExperimentConfig:
         path = f"config.algorithms[{idx}]"
         _reject_unknown(entry, {"name", "preset", "params"}, path)
         name = _require(entry, "name", path)
-        if name not in ALGORITHM_NAMES:
+        if name not in REGISTRY:
             raise ConfigError(
                 f"{path}.name: unknown algorithm {name!r}, expected one of {ALGORITHM_NAMES}"
             )
+        presets = REGISTRY[name].presets
         params: dict = {}
         if "preset" in entry:
             preset = entry["preset"]
-            if preset not in PRESETS[name]:
+            if preset not in presets:
                 raise ConfigError(
-                    f"{path}.preset: unknown preset {preset!r}, "
-                    f"expected one of {sorted(PRESETS[name])}"
+                    f"{path}.preset: unknown preset {preset!r}, expected one of {sorted(presets)}"
                 )
-            params.update(PRESETS[name][preset])
-        overrides = dict(entry.get("params", {}))
-        unknown = set(overrides) - _ALGORITHM_PARAM_KEYS[name]
-        if unknown:
-            raise ConfigError(f"{path}.params: unknown keys {sorted(unknown)} for {name}")
-        params.update(overrides)
-        algorithms.append(AlgorithmSpec(name=name, params=params))
+            params.update(presets[preset])
+        params.update(entry.get("params", {}))
+        try:
+            config = make_config(name, budget, params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.params: {exc}") from exc
+        algorithms.append(AlgorithmSpec(name=name, params=params, config=config))
     if len({a.name for a in algorithms}) != len(algorithms):
         raise ConfigError("config.algorithms: each algorithm may appear only once")
-
-    budget = int(_require(raw, "budget", "config"))
-    if budget < 1:
-        raise ConfigError(f"config.budget: must be positive, got {budget}")
-    for spec in algorithms:
-        if spec.name in ("nsga2", "nsga2d", "omopso") and budget < spec.batch_size:
-            raise ConfigError(
-                f"config.budget: {budget} is below the population/swarm size "
-                f"{spec.batch_size} of {spec.name}"
-            )
 
     repetitions = int(raw.get("repetitions", DEFAULT_REPETITIONS))
     if repetitions < 1:
@@ -321,8 +284,20 @@ def _format_value(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """Write a temporary sibling of ``path`` and move it into place only on success."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -340,8 +315,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     """Execute every (algorithm, repetition) run and write all result files.
 
     Runs execute sequentially in config order; repetition ``i`` uses seed
-    ``base_seed + i``. Aborts (for example on an empty reference set) leave no
-    partial result files behind.
+    ``base_seed + i``. Aborts (for example on an empty reference set, a write
+    error or an interrupt) leave no partial result files behind.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,7 +351,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
         written.append(_write_series_csv(out_dir, runs))
         written.append(_write_summary_csv(out_dir, config, runs))
         written.append(_write_manifest(out_dir, config, refset, runs))
-    except Exception:
+    except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
         raise
@@ -482,7 +457,8 @@ def _write_manifest(
         ],
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -648,5 +624,6 @@ def emit_report(in_dir: str | Path, out_path: str | Path | None = None) -> Path:
         buf.write("\n")
 
     out_path = Path(out_path) if out_path else in_dir / "report.md"
-    out_path.write_text(buf.getvalue())
+    with _atomic_open(out_path) as fh:
+        fh.write(buf.getvalue())
     return out_path

@@ -1,8 +1,9 @@
 """Catalog of closed-form test problems with analytically known failure regions.
 
 Each problem pairs a :class:`~failcover.core.ProblemDefinition` with a
-closed-form membership test for its failure region, so reference sets and
-coverage results can be validated without any search. Three problems ship:
+closed-form batch fitness, so failure-region membership (the oracle's mask of
+that fitness), reference sets and coverage results can be validated without
+any search. Three problems ship:
 
 ``two_ball``
     Two distance objectives in the unit square. The failure region is the
@@ -37,14 +38,12 @@ VARIANTS = ("Large", "Medium", "Small")
 
 @dataclass(frozen=True)
 class SyntheticProblem:
-    """A problem plus its closed-form failure-region membership and batch fitness."""
+    """A problem plus its batch fitness, for whole-sample membership tests."""
 
     problem: ProblemDefinition
     #: Vectorized fitness: (N, dims) -> (N, m). Used for reference sets and
     #: volume estimates, where point-at-a-time evaluation would be slow.
     fitness_batch: Callable[[np.ndarray], np.ndarray]
-    #: Closed-form membership: (dims,) -> bool or (N, dims) -> bool array.
-    doi_membership: Callable[[np.ndarray], np.ndarray | bool]
 
 
 @dataclass(frozen=True)
@@ -54,27 +53,6 @@ class ProblemCatalogEntry:
     objective_count: int
     build: Callable[..., SyntheticProblem]
     variant_summary: dict[str, str]
-
-
-def _batched(points: np.ndarray) -> tuple[np.ndarray, bool]:
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        return points[None, :], True
-    return points, False
-
-
-def _membership_from_oracle(
-    fitness_batch: Callable[[np.ndarray], np.ndarray], oracle: OracleSpec
-) -> Callable[[np.ndarray], np.ndarray | bool]:
-    def membership(points: np.ndarray) -> np.ndarray | bool:
-        pts, single = _batched(points)
-        f = fitness_batch(pts)
-        ok = np.ones(len(pts), dtype=bool)
-        for i, threshold in oracle.clauses:
-            ok &= f[:, i] < threshold
-        return bool(ok[0]) if single else ok
-
-    return membership
 
 
 # --- two_ball ---------------------------------------------------------------
@@ -120,7 +98,8 @@ def build_two_ball(
             [np.linalg.norm(pts - a, axis=1), np.linalg.norm(pts - b, axis=1)], axis=1
         )
 
-    oracle = OracleSpec(clauses=((0, float(t1)), (1, float(t2))), variant_label=variant)
+    label = variant if (t1, t2) == TWO_BALL_RADII.get(variant) else "Custom"
+    oracle = OracleSpec(clauses=((0, float(t1)), (1, float(t2))), variant_label=label)
     problem = ProblemDefinition(
         name="two_ball",
         space=space,
@@ -128,11 +107,7 @@ def build_two_ball(
         fitness_evaluator=lambda x: fitness_batch(x[None, :])[0],
         oracle=oracle,
     )
-    return SyntheticProblem(
-        problem=problem,
-        fitness_batch=fitness_batch,
-        doi_membership=_membership_from_oracle(fitness_batch, oracle),
-    )
+    return SyntheticProblem(problem=problem, fitness_batch=fitness_batch)
 
 
 def two_ball_lens_area(r1: float, r2: float, d: float) -> float:
@@ -198,7 +173,8 @@ def build_two_region(
         f2 = np.linalg.norm(pts - center_a, axis=1)
         return np.stack([f1, f2], axis=1)
 
-    oracle = OracleSpec(clauses=((0, float(margin)),), variant_label=variant)
+    label = variant if margin == TWO_REGION_MARGINS.get(variant) else "Custom"
+    oracle = OracleSpec(clauses=((0, float(margin)),), variant_label=label)
     problem = ProblemDefinition(
         name="two_region",
         space=space,
@@ -206,11 +182,7 @@ def build_two_region(
         fitness_evaluator=lambda x: fitness_batch(x[None, :])[0],
         oracle=oracle,
     )
-    return SyntheticProblem(
-        problem=problem,
-        fitness_batch=fitness_batch,
-        doi_membership=_membership_from_oracle(fitness_batch, oracle),
-    )
+    return SyntheticProblem(problem=problem, fitness_batch=fitness_batch)
 
 
 def two_region_failing_area(margin: float, boxes: tuple = TWO_REGION_BOXES) -> float:
@@ -262,11 +234,7 @@ def build_avp_analog(variant: str = "Large") -> SyntheticProblem:
         fitness_evaluator=lambda x: fitness_batch(x[None, :])[0],
         oracle=oracle,
     )
-    return SyntheticProblem(
-        problem=problem,
-        fitness_batch=fitness_batch,
-        doi_membership=_membership_from_oracle(fitness_batch, oracle),
-    )
+    return SyntheticProblem(problem=problem, fitness_batch=fitness_batch)
 
 
 # --- catalog ----------------------------------------------------------------
@@ -313,4 +281,4 @@ def get_problem(name: str, variant: str = "Large", **params) -> SyntheticProblem
 def doi_volume_estimate(synthetic: SyntheticProblem, k: int) -> float:
     """Fraction of the k-per-axis grid whose nodes fall in the failure region."""
     batch = grid_sample(synthetic.problem.space, k)
-    return float(np.mean(synthetic.doi_membership(batch.points)))
+    return float(np.mean(synthetic.problem.oracle.mask(synthetic.fitness_batch(batch.points))))

@@ -10,6 +10,7 @@ from failcover.algorithms import (
     Nsga2Config,
     NsgaDConfig,
     OmopsoConfig,
+    RandomSearchConfig,
     archive_insert,
     crowding_distance,
     fast_nondominated_sort,
@@ -203,19 +204,21 @@ def test_archive_pairwise_invariant_after_random_insertions():
 
 
 def test_rs_generation_pattern():
-    hist = run_random_search(TWO_BALL.problem, budget=10, batch_size=5, seed=1)
+    hist = run_random_search(TWO_BALL.problem, RandomSearchConfig(batch_size=5, budget=10), seed=1)
     assert [ev.generation for ev in hist.evaluations] == [0] * 5 + [1] * 5
 
 
 def test_rs_determinism():
-    a = run_random_search(TWO_BALL.problem, budget=100, batch_size=10, seed=3)
-    b = run_random_search(TWO_BALL.problem, budget=100, batch_size=10, seed=3)
+    config = RandomSearchConfig(batch_size=10, budget=100)
+    a = run_random_search(TWO_BALL.problem, config, seed=3)
+    b = run_random_search(TWO_BALL.problem, config, seed=3)
     assert_histories_identical(a, b)
 
 
 def test_rs_failure_count_binomial_bound():
     fraction = doi_volume_estimate(TWO_BALL, k=256)
-    hist = run_random_search(TWO_BALL.problem, budget=2000, batch_size=40, seed=11)
+    config = RandomSearchConfig(batch_size=40, budget=2000)
+    hist = run_random_search(TWO_BALL.problem, config, seed=11)
     failures = sum(ev.failed for ev in hist.evaluations)
     sigma = np.sqrt(2000 * fraction * (1 - fraction))
     assert abs(failures - 2000 * fraction) <= 3 * sigma
@@ -266,7 +269,7 @@ def test_nsga2_config_validation():
 
 
 def test_nsga2d_replacement_counts_per_generation():
-    config = NsgaDConfig(base=Nsga2Config(population_size=40, budget=172))
+    config = NsgaDConfig(population_size=40, budget=172)
     hist = run_nsga2d(TWO_BALL.problem, config, seed=7)
     per_gen = {}
     for ev in hist.evaluations:
@@ -278,9 +281,7 @@ def test_nsga2d_replacement_counts_per_generation():
 
 
 def test_nsga2d_huge_threshold_archive_holds_one():
-    config = NsgaDConfig(
-        base=Nsga2Config(population_size=20, budget=200), archive_threshold=1e9
-    )
+    config = NsgaDConfig(population_size=20, budget=200, archive_threshold=1e9)
     hist = run_nsga2d(TWO_BALL.problem, config, seed=8)
     # With an unreachable threshold only the first failure is archived, so the
     # recorded novelty of later evaluations is its distance to that one point.
@@ -295,14 +296,14 @@ def test_nsga2d_huge_threshold_archive_holds_one():
 
 
 def test_nsga2d_novelty_recorded():
-    config = NsgaDConfig(base=Nsga2Config(population_size=20, budget=100))
+    config = NsgaDConfig(population_size=20, budget=100)
     hist = run_nsga2d(TWO_BALL.problem, config, seed=9)
     assert all(ev.novelty is not None for ev in hist.evaluations)
     assert hist.evaluations[0].novelty == np.inf  # archive empty at first evaluation
 
 
 def test_nsga2d_determinism():
-    config = NsgaDConfig(base=Nsga2Config(population_size=20, budget=150))
+    config = NsgaDConfig(population_size=20, budget=150)
     a = run_nsga2d(TWO_BALL.problem, config, seed=10)
     b = run_nsga2d(TWO_BALL.problem, config, seed=10)
     assert_histories_identical(a, b)
@@ -425,3 +426,9 @@ def test_run_algorithm_unknown_name():
 def test_run_algorithm_rejects_unknown_rs_params():
     with pytest.raises(ValueError, match="rs parameters"):
         run_algorithm("rs", TWO_BALL.problem, 100, 0, {"population_size": 4})
+
+
+@pytest.mark.parametrize("name", ["nsga2", "nsga2d", "omopso"])
+def test_run_algorithm_rejects_unknown_params(name):
+    with pytest.raises(ValueError, match=f"unknown {name} parameters.*'batch'"):
+        run_algorithm(name, TWO_BALL.problem, 100, 0, {"batch": 4})

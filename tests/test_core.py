@@ -12,7 +12,6 @@ from failcover.core import (
     RunLog,
     SearchSpace,
     dominates,
-    oracle_eval,
     unit_box,
 )
 
@@ -69,21 +68,23 @@ def test_dominates_transitivity(a, b, c):
 
 def test_oracle_single_clause_strict():
     oracle = OracleSpec(clauses=((0, -0.5),))
-    assert oracle_eval(oracle, [-0.6]) is True
-    assert oracle_eval(oracle, [-0.5]) is False  # strict inequality at the boundary
+    assert oracle.mask([-0.6]) is np.True_
+    assert oracle.mask([-0.5]) is np.False_  # strict inequality at the boundary
 
 
 def test_oracle_conjunction():
     oracle = OracleSpec(clauses=((0, -0.7), (1, -1.0)))
-    assert oracle_eval(oracle, [-0.75, -1.5]) is True
-    assert oracle_eval(oracle, [-0.75, -0.5]) is False
-    assert oracle_eval(oracle, [-0.6, -1.5]) is False
+    assert oracle.mask([-0.75, -1.5]) is np.True_
+    assert oracle.mask([-0.75, -0.5]) is np.False_
+    assert oracle.mask([-0.6, -1.5]) is np.False_
 
 
 def test_oracle_invalid_index():
     oracle = OracleSpec(clauses=((2, 0.0),))
     with pytest.raises(ValueError, match="objective 2"):
-        oracle_eval(oracle, [1.0, 2.0])
+        oracle.mask([1.0, 2.0])
+    with pytest.raises(ValueError, match="objective 2"):
+        oracle.mask(np.zeros((4, 2)))
 
 
 def test_oracle_needs_clauses():
@@ -98,10 +99,10 @@ def test_oracle_variant_monotonicity():
     small = OracleSpec(clauses=((0, -0.95),), variant_label="Small")
     rng = np.random.default_rng(42)
     for f in rng.uniform(-1.2, 0.2, size=(500, 1)):
-        if oracle_eval(small, f):
-            assert oracle_eval(medium, f)
-        if oracle_eval(medium, f):
-            assert oracle_eval(large, f)
+        if small.mask(f):
+            assert medium.mask(f)
+        if medium.mask(f):
+            assert large.mask(f)
 
 
 # --- search space -------------------------------------------------------------

@@ -275,7 +275,7 @@ def test_refset_nongrid_r_star_is_max_nn_distance():
 def test_refset_points_are_failing_and_unique():
     sp = get_problem("avp_analog", "Medium")
     refset = build_reference_set(sp, {"strategy": "grid", "params": {"k": 12}})
-    assert np.all(sp.doi_membership(refset.points))
+    assert np.all(sp.problem.oracle.mask(sp.fitness_batch(refset.points)))
     assert len(np.unique(refset.points, axis=0)) == len(refset.points)
 
 
@@ -318,7 +318,7 @@ def test_refset_cache_sidecar_records_key(tmp_path):
     (sidecar,) = tmp_path.glob("refset-*.json")
     key = json.loads(sidecar.read_text())["cache_key"]
     assert key["clauses"] == [[0, 0.2], [1, 0.25]]
-    assert key["problem"] == "two_ball" and key["variant"] == "Large"
+    assert key["problem"] == "two_ball" and key["variant"] == "Custom"
     assert key["strategy"] == "grid" and key["params"] == {"k": 16}
 
 

@@ -1,5 +1,5 @@
 """Golden digests: the exact bytes of ``runs.csv`` and ``cid_series.csv`` for one
-small config per algorithm.
+small config per algorithm, and each sampler's reference set on two_ball Large.
 
 A refactor or speed-up that must not change results keeps these hashes. A
 change that alters them on purpose records the new values and the reason in
@@ -10,7 +10,9 @@ import hashlib
 
 import pytest
 
+from failcover.coverage import build_reference_set
 from failcover.harness import parse_config, run_experiment
+from failcover.problems import get_problem
 
 
 def golden_config(problem: str, algorithm: str, params: dict, k: int) -> dict:
@@ -67,3 +69,27 @@ def test_result_bytes_match_golden_digest(name, tmp_path):
         runs_sha,
         series_sha,
     )
+
+
+#: Sampler spec -> (points kept, ReferenceSet.content_hash()) on two_ball Large.
+GOLDEN_REFSETS = {
+    "grid": ({"k": 32}, 216,
+             "49049b8a7d4a19e7360282598d08b2047436ff8c19a3a8a3d351f7dd4ca3b5dd"),
+    "lhs": ({"n": 300, "seed": 3}, 69,
+            "7f92ca69b9d7c43d671a04e8a23baa1f1a3e3808d75a2e803ec164c180d5f69d"),
+    "fps": ({"n": 200, "seed": 3}, 36,
+            "16b6812b95fe5ae367c06ce643a6b09a962fb3cf9bbd82c91f28182da1cdd9c9"),
+    "poisson": ({"r": 0.05, "seed": 3}, 57,
+                "e20cb26dcd66bd2ec5896447bc6220806358acc51a4dca06ba4e869017cc0acd"),
+    "uniform": ({"n": 300, "seed": 3}, 74,
+                "be0b9cb54795bec7a114689f878b82ffd1ba0d51e5b732f045676592b4700a1f"),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_REFSETS))
+def test_reference_set_matches_golden_digest(strategy):
+    params, size, digest = GOLDEN_REFSETS[strategy]
+    refset = build_reference_set(
+        get_problem("two_ball", "Large"), {"strategy": strategy, "params": params}
+    )
+    assert (len(refset), refset.content_hash()) == (size, digest)

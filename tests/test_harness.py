@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from failcover import harness
 from failcover.cli import main as cli_main
 from failcover.harness import (
     ConfigError,
@@ -67,6 +68,21 @@ def test_unknown_algorithm_rejected():
 def test_unknown_algorithm_param_rejected():
     raw = make_config(algorithms=[{"name": "rs", "params": {"population_size": 4}}])
     with pytest.raises(ConfigError, match="params"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("nsga2", "population_size", 5),
+        ("omopso", "w_min", 0.95),
+        ("rs", "batch_size", 0),
+        ("nsga2d", "repopulation_fraction", 0.9),
+    ],
+)
+def test_invalid_algorithm_value_rejected_at_parse(name, field, value):
+    raw = make_config(algorithms=[{"name": name, "params": {field: value}}])
+    with pytest.raises(ConfigError, match=rf"config\.algorithms\[0\]\.params: .*{field}"):
         parse_config(raw)
 
 
@@ -258,6 +274,32 @@ def test_empty_refset_aborts_cleanly(tmp_path):
     with pytest.raises(Exception, match="no failures"):
         run_experiment(parse_config(raw), tmp_path / "doomed")
     assert not list((tmp_path / "doomed").glob("*.csv"))
+
+
+def test_write_error_leaves_no_partial_runs_csv(tmp_path, monkeypatch):
+    calls = 0
+
+    def failing_format(value):
+        nonlocal calls
+        calls += 1
+        if calls > 500:
+            raise OSError("disk full")
+        return str(value)
+
+    monkeypatch.setattr(harness, "_format_value", failing_format)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(parse_config(make_config()), tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["refsets"]
+
+
+def test_interrupt_while_writing_manifest_removes_written_results(tmp_path, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_write_manifest", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(parse_config(make_config()), tmp_path / "out")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["refsets"]
 
 
 # --- compare -------------------------------------------------------------------------------

@@ -4,7 +4,7 @@ variant nesting, and analytic area cross-checks."""
 import numpy as np
 import pytest
 
-from failcover.core import dominates, oracle_eval
+from failcover.core import dominates
 from failcover.problems import (
     CATALOG,
     TWO_REGION_MARGINS,
@@ -73,15 +73,15 @@ def test_two_region_inside_box_fails_all_variants():
         sp = build_two_region(variant)
         f = sp.problem.fitness(x)
         assert f[0] == 0.0
-        assert oracle_eval(sp.problem.oracle, f)
+        assert sp.problem.oracle.mask(f)
 
 
 def test_two_region_margin_grading():
     x = np.array([0.15 - 0.03, 0.6])  # 0.03 left of box A
     large = build_two_region("Large")
     medium = build_two_region("Medium")
-    assert large.doi_membership(x)  # margin 0.05
-    assert not medium.doi_membership(x)  # margin 0.02
+    assert large.problem.oracle.mask(large.problem.fitness(x))  # margin 0.05
+    assert not medium.problem.oracle.mask(medium.problem.fitness(x))  # margin 0.02
 
 
 def test_two_region_failing_fraction_matches_area():
@@ -105,14 +105,14 @@ def test_avp_analog_target_point_fails_all():
         sp = build_avp_analog(variant)
         f = sp.problem.fitness(np.array([0.7, 0.3, 0.0]))
         np.testing.assert_allclose(f, [0.0, -0.7], atol=1e-15)
-        assert sp.doi_membership(np.array([0.7, 0.3, 0.0]))
+        assert sp.problem.oracle.mask(f)
 
 
 def test_avp_analog_origin_passes_all():
     sp = build_avp_analog("Large")
     f = sp.problem.fitness(np.zeros(3))
     np.testing.assert_allclose(f, [np.sqrt(0.58), 0.0])
-    assert not sp.doi_membership(np.zeros(3))
+    assert not sp.problem.oracle.mask(f)
 
 
 def test_avp_analog_variant_fractions_monotone():
@@ -131,9 +131,9 @@ def test_membership_equals_oracle_of_fitness(name):
     sp = get_problem(name, "Medium")
     space = sp.problem.space
     points = make_rng(77).uniform(space.lows, space.highs, size=(10_000, space.dims))
-    member = sp.doi_membership(points)
-    for i in range(0, 10_000, 997):  # spot-check the scalar path too
-        assert member[i] == oracle_eval(sp.problem.oracle, sp.problem.fitness(points[i]))
+    member = sp.problem.oracle.mask(sp.fitness_batch(points))
+    for i in range(0, 10_000, 997):  # spot-check the one-vector path too
+        assert member[i] == sp.problem.oracle.mask(sp.problem.fitness(points[i]))
     fitness = sp.fitness_batch(points)
     expected = np.ones(len(points), dtype=bool)
     for idx, threshold in sp.problem.oracle.clauses:
@@ -148,9 +148,9 @@ def test_variant_nesting_on_random_points(name):
     large = get_problem(name, "Large")
     space = small.problem.space
     points = make_rng(88).uniform(space.lows, space.highs, size=(5_000, space.dims))
-    in_small = small.doi_membership(points)
-    in_medium = medium.doi_membership(points)
-    in_large = large.doi_membership(points)
+    in_small, in_medium, in_large = (
+        sp.problem.oracle.mask(sp.fitness_batch(points)) for sp in (small, medium, large)
+    )
     assert np.all(~in_small | in_medium)  # Small subset of Medium
     assert np.all(~in_medium | in_large)  # Medium subset of Large
 
@@ -170,6 +170,20 @@ def test_doi_volume_empty_region():
     # Discs too far apart to intersect: the failure region is empty.
     sp = build_two_ball(c1=(0.2, 0.5), c2=(0.8, 0.5), t1=0.1, t2=0.1)
     assert doi_volume_estimate(sp, k=64) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, variant, params, label",
+    [
+        ("two_ball", "Large", {}, "Large"),
+        ("two_ball", "Large", {"t1": 0.3, "t2": 0.3}, "Large"),
+        ("two_ball", "Large", {"t1": 0.2, "t2": 0.25}, "Custom"),
+        ("two_region", "Medium", {"margin": 0.02}, "Medium"),
+        ("two_region", "Medium", {"margin": 0.03}, "Custom"),
+    ],
+)
+def test_oracle_label_is_custom_for_custom_thresholds(name, variant, params, label):
+    assert get_problem(name, variant, **params).problem.oracle.variant_label == label
 
 
 def test_get_problem_unknown_name():
