@@ -61,9 +61,17 @@ def fast_nondominated_sort(fitness: np.ndarray) -> list[list[int]]:
     f = np.asarray(fitness, dtype=float)
     if f.ndim != 2 or len(f) == 0:
         raise ValueError("fitness must be a non-empty (N, m) array")
-    le = np.all(f[:, None, :] <= f[None, :, :], axis=2)
-    lt = np.any(f[:, None, :] < f[None, :, :], axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
+    # le[i, j]: i is no worse than j on every objective; lt[i, j]: strictly
+    # better on at least one. Built one objective at a time, in place.
+    col = f[:, 0, None]
+    le = col <= col.T
+    lt = col < col.T
+    scratch = np.empty_like(le)
+    for k in range(1, f.shape[1]):
+        col = f[:, k, None]
+        le &= np.less_equal(col, col.T, out=scratch)
+        lt |= np.less(col, col.T, out=scratch)
+    dom = np.logical_and(le, lt, out=le)  # dom[i, j]: i dominates j
 
     n_dominators = dom.sum(axis=0)
     fronts: list[list[int]] = []

@@ -11,11 +11,27 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import os
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
+from typing import TextIO
 
 import numpy as np
+
+
+@contextmanager
+def atomic_open(path: Path) -> Iterator[TextIO]:
+    """Write a temporary sibling of ``path`` and move it into place only on success."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class BudgetExhausted(Exception):
@@ -191,12 +207,6 @@ class RunHistory:
 
     def __len__(self) -> int:
         return len(self.evaluations)
-
-    def inputs(self) -> np.ndarray:
-        return np.array([ev.input for ev in self.evaluations])
-
-    def fitnesses(self) -> np.ndarray:
-        return np.array([ev.fitness for ev in self.evaluations])
 
     def failing_inputs(self) -> np.ndarray:
         """Inputs of all failing evaluations, in evaluation order (may be empty)."""

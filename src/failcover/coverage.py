@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import RunHistory, SearchSpace
+from .core import RunHistory, SearchSpace, atomic_open
 from .problems import SyntheticProblem
 from .samplers import grid_step_diagonal, make_rng, sample_by_name
 
@@ -221,6 +221,7 @@ def build_reference_set(
     ``sampler`` is a config-shaped spec: {"strategy": ..., "params": {...}}.
     With ``cache_dir`` set, the result is persisted as CSV + JSON sidecar and
     later calls with the same construction key are served from disk untouched.
+    A CSV whose sidecar is missing or records another key is rebuilt.
     """
     strategy = sampler.get("strategy")
     params = dict(sampler.get("params", {}))
@@ -228,8 +229,9 @@ def build_reference_set(
 
     if cache_dir is not None:
         key = _cache_key(synthetic, strategy, params)
-        csv_path = Path(cache_dir) / f"refset-{_digest(key)[:12]}.csv"
-        if csv_path.exists():
+        digest = _digest(key)
+        csv_path = Path(cache_dir) / f"refset-{digest[:12]}.csv"
+        if _sidecar_key(csv_path) == digest:
             return load_reference_set(csv_path)
 
     batch = sample_by_name(problem.space, strategy, params)
@@ -285,7 +287,19 @@ def _cache_key(synthetic: SyntheticProblem, strategy: str, params: dict) -> dict
     }
 
 
-def _digest(key: dict) -> str:
+def _sidecar_key(csv_path: Path) -> str | None:
+    """Digest of the ``cache_key`` in ``csv_path``'s sidecar; None if either file is missing.
+
+    The file name holds only 12 hex digits of the digest, so a cache hit
+    needs the full key, and a CSV whose sidecar was never written is a miss.
+    """
+    sidecar = csv_path.with_suffix(".json")
+    if not (csv_path.exists() and sidecar.exists()):
+        return None
+    return _digest(json.loads(sidecar.read_text()).get("cache_key"))
+
+
+def _digest(key: dict | None) -> str:
     blob = json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -315,12 +329,15 @@ def save_reference_set(
     """Write the points CSV (header x1..xn) and the JSON provenance sidecar.
 
     ``cache_key``, when given, is recorded in the sidecar so a cached file
-    states what it was built for.
+    states what it was built for. Each file is written atomically, the
+    sidecar last: a cache hit needs the sidecar, so a save interrupted
+    before it is rebuilt on the next lookup.
     """
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     payload = _points_csv_bytes(refset.points)
-    csv_path.write_bytes(payload)
+    with atomic_open(csv_path) as fh:
+        fh.write(payload.decode())
     sidecar = {
         "problem": refset.problem_name,
         "variant": refset.oracle_label,
@@ -332,7 +349,8 @@ def save_reference_set(
     }
     if cache_key is not None:
         sidecar["cache_key"] = cache_key
-    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    with atomic_open(csv_path.with_suffix(".json")) as fh:
+        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return csv_path
 
 

@@ -21,18 +21,15 @@ import csv
 import hashlib
 import io
 import json
-import os
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any
 
 import numpy as np
 
 from .algorithms import ALGORITHM_NAMES, REGISTRY, make_config, run_algorithm
-from .core import RunHistory
+from .core import RunHistory, atomic_open
 from .coverage import (
     CidParams,
     ConvergenceSeries,
@@ -284,20 +281,8 @@ def _format_value(value) -> str:
     return str(value)
 
 
-@contextmanager
-def _atomic_open(path: Path) -> Iterator[TextIO]:
-    """Write a temporary sibling of ``path`` and move it into place only on success."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -457,7 +442,7 @@ def _write_manifest(
         ],
     }
     path = out_dir / "manifest.json"
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -624,6 +609,6 @@ def emit_report(in_dir: str | Path, out_path: str | Path | None = None) -> Path:
         buf.write("\n")
 
     out_path = Path(out_path) if out_path else in_dir / "report.md"
-    with _atomic_open(out_path) as fh:
+    with atomic_open(out_path) as fh:
         fh.write(buf.getvalue())
     return out_path

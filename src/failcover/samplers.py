@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -89,6 +88,36 @@ def uniform_sample(space: SearchSpace, n: int, rng: np.random.Generator) -> Samp
     return SampleBatch(points=points, strategy_label="uniform", parameters={"n": int(n)})
 
 
+def _sum_rows_pairwise(rows: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``rows`` (d, n) into ``rows[0]`` in numpy's pairwise order.
+
+    ``np.add.reduce(x, axis=1)`` on the transposed (n, d) array adds each row's
+    d values one by one below 8, with eight interleaved partial sums up to 128,
+    and by recursive halving above; this repeats that order column-wise, so
+    the sums are equal bit for bit. ``rows`` is overwritten.
+    """
+    d = len(rows)
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        total = _sum_rows_pairwise(rows[:half])
+        total += _sum_rows_pairwise(rows[half:])
+        return total
+    if d < 8:
+        rest = range(1, d)
+    else:
+        partial = rows[:8]
+        for i in range(8, d - d % 8, 8):
+            partial += rows[i:i + 8]
+        partial[::2] += partial[1::2]
+        rows[0] += rows[2]
+        rows[4] += rows[6]
+        rows[0] += rows[4]
+        rest = range(d - d % 8, d)
+    for j in rest:
+        rows[0] += rows[j]
+    return rows[0]
+
+
 def fps_sample(
     space: SearchSpace,
     n: int,
@@ -118,13 +147,24 @@ def fps_sample(
         if len(pool) < n:
             raise ValueError(f"explicit pool ({len(pool)}) must hold at least n={n} points")
 
-    first = int(np.argmin(np.linalg.norm(pool - space.center, axis=1)))
+    # The pool as contiguous columns: each distance pass runs d long
+    # vectorised operations instead of n short row reductions.
+    cols = np.ascontiguousarray(pool.T)
+    scratch = np.empty_like(cols)
+
+    def distances_to(point: np.ndarray) -> np.ndarray:
+        """``np.linalg.norm(pool - point, axis=1)`` bit for bit, written into scratch[0]."""
+        np.subtract(cols, point[:, None], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        return np.sqrt(_sum_rows_pairwise(scratch), out=scratch[0])
+
+    first = int(np.argmin(distances_to(space.center)))
     selected = [first]
-    min_dist = np.linalg.norm(pool - pool[first], axis=1)
+    min_dist = distances_to(pool[first]).copy()
     for _ in range(n - 1):
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
-        min_dist = np.minimum(min_dist, np.linalg.norm(pool - pool[nxt], axis=1))
+        np.minimum(min_dist, distances_to(pool[nxt]), out=min_dist)
     return SampleBatch(
         points=pool[selected],
         strategy_label="fps",
@@ -140,9 +180,15 @@ def poisson_disc_sample(
 ) -> SampleBatch:
     """Bridson dart-throwing in ``dims`` dimensions with minimum distance ``r``.
 
-    A background grid with cell size r/sqrt(dims) accelerates neighbor checks;
-    the sampler stops once the active list empties, which guarantees every
-    pairwise distance is at least ``r``.
+    A dense background grid with cell size r/sqrt(dims) accelerates neighbor
+    checks: the cell diagonal is r, so each cell holds at most one point, and
+    the grid stores that point's index (-1 when empty). It is padded by
+    ``reach = ceil(sqrt(dims))`` cells on each side, so every neighbourhood is
+    one slice of ``2*reach+1`` cells per axis. It holds
+    ``(floor(w/cell) + 1 + 2*reach)**dims`` entries for axis widths ``w``:
+    within a constant that depends only on ``dims`` of the largest sample that
+    fits the box. The sampler stops once the active list empties, which
+    guarantees every pairwise distance is at least ``r``.
     """
     if r <= 0:
         raise ValueError(f"minimum distance must be positive, got {r}")
@@ -150,59 +196,63 @@ def poisson_disc_sample(
         raise ValueError(f"attempts per point must be positive, got {attempts_per_point}")
 
     dims = space.dims
+    lows, highs = space.lows, space.highs
     cell = r / math.sqrt(dims)
     # Neighbors within r span at most ceil(sqrt(dims)) cells along each axis.
     reach = math.ceil(math.sqrt(dims))
-    offsets = list(product(range(-reach, reach + 1), repeat=dims))
 
-    def cell_index(point: np.ndarray) -> tuple[int, ...]:
-        return tuple(((point - space.lows) // cell).astype(int))
+    def cell_of(point: np.ndarray) -> np.ndarray:
+        return ((point - lows) // cell).astype(np.intp)
 
-    points: list[np.ndarray] = []
-    grid: dict[tuple[int, ...], list[int]] = {}
-
-    def too_close(candidate: np.ndarray) -> bool:
-        base = cell_index(candidate)
-        for off in offsets:
-            bucket = grid.get(tuple(b + o for b, o in zip(base, off)))
-            if bucket is None:
-                continue
-            for idx in bucket:
-                if np.linalg.norm(candidate - points[idx]) < r:
-                    return True
-        return False
-
-    def accept(point: np.ndarray) -> None:
-        grid.setdefault(cell_index(point), []).append(len(points))
-        points.append(point)
-        active.append(len(points) - 1)
-
+    span = 2 * reach + 1
+    # Points lie in [lows, highs], so no cell index exceeds cell_of(highs);
+    # the padding keeps every neighbourhood slice inside the grid.
+    grid = np.full(tuple(cell_of(highs) + 1 + 2 * reach), -1, dtype=np.intp)
+    points = np.empty((64, dims))
+    count = 0
     active: list[int] = []
-    accept(rng.uniform(space.lows, space.highs))
+
+    def accept(point: np.ndarray, base: np.ndarray) -> None:
+        nonlocal points, count
+        if count == len(points):
+            points = np.concatenate([points, np.empty_like(points)])
+        points[count] = point
+        grid[tuple(base + reach)] = count
+        active.append(count)
+        count += 1
+
+    first = rng.uniform(lows, highs)
+    accept(first, cell_of(first))
 
     while active:
         slot = int(rng.integers(len(active)))
         base_point = points[active[slot]]
         for _ in range(attempts_per_point):
             direction = rng.normal(size=dims)
-            norm = np.linalg.norm(direction)
+            # np.linalg.norm's own arithmetic, without its dispatch.
+            norm = math.sqrt(direction.dot(direction))
             if norm == 0.0:
                 continue
             # Radius density uniform over the annulus volume [r, 2r].
             radius = r * (rng.random() * (2.0**dims - 1.0) + 1.0) ** (1.0 / dims)
             candidate = base_point + direction / norm * radius
-            if np.any(candidate < space.lows) or np.any(candidate > space.highs):
+            if (candidate < lows).any() or (candidate > highs).any():
                 continue
-            if too_close(candidate):
+            base = cell_of(candidate)
+            block = grid[tuple(slice(b, b + span) for b in base.tolist())]
+            diff = candidate - points[block[block >= 0]]
+            # Row-wise matmul computes each x.dot(x) as np.linalg.norm does,
+            # so the comparisons with r match a per-neighbour norm exactly.
+            if (np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])) < r).any():
                 continue
-            accept(candidate)
+            accept(candidate, base)
             break
         else:
             active[slot] = active[-1]
             active.pop()
 
     return SampleBatch(
-        points=np.array(points),
+        points=points[:count].copy(),
         strategy_label="poisson",
         parameters={"r": float(r), "attempts_per_point": int(attempts_per_point)},
     )

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from failcover import coverage
 from failcover.core import Evaluation, RunHistory, SearchSpace
 from failcover.coverage import (
     CidParams,
@@ -320,6 +321,62 @@ def test_refset_cache_sidecar_records_key(tmp_path):
     assert key["clauses"] == [[0, 0.2], [1, 0.25]]
     assert key["problem"] == "two_ball" and key["variant"] == "Custom"
     assert key["strategy"] == "grid" and key["params"] == {"k": 16}
+
+
+def assert_same_refset(got, want):
+    np.testing.assert_array_equal(got.points, want.points)
+    assert (got.problem_name, got.oracle_label, got.sampler_label, got.sampler_params) == (
+        want.problem_name, want.oracle_label, want.sampler_label, want.sampler_params
+    )
+    assert (got.total_sampled, got.max_adjacent_distance) == (
+        want.total_sampled, want.max_adjacent_distance
+    )
+
+
+GRID_16 = {"strategy": "grid", "params": {"k": 16}}
+
+
+def test_refset_cache_rebuilds_when_sidecar_is_missing(tmp_path):
+    sp = get_problem("two_ball", "Large")
+    build_reference_set(sp, GRID_16, cache_dir=tmp_path)
+    (sidecar,) = tmp_path.glob("refset-*.json")
+    sidecar.unlink()
+    rebuilt = build_reference_set(sp, GRID_16, cache_dir=tmp_path)
+    assert rebuilt.total_sampled == 256
+    assert_same_refset(rebuilt, build_reference_set(sp, GRID_16))
+    assert sidecar.exists()
+
+
+def test_refset_cache_rebuilds_when_sidecar_key_differs(tmp_path):
+    # Another set's CSV and sidecar under this key's file name, as a clash of
+    # the 12 hex digits in the name would leave them.
+    sp = get_problem("two_ball", "Large")
+    build_reference_set(sp, {"strategy": "grid", "params": {"k": 12}}, cache_dir=tmp_path / "a")
+    build_reference_set(sp, GRID_16, cache_dir=tmp_path / "b")
+    (csv_a,), (csv_b,) = (sorted((tmp_path / d).glob("refset-*.csv")) for d in "ab")
+    csv_b.write_bytes(csv_a.read_bytes())
+    csv_b.with_suffix(".json").write_bytes(csv_a.with_suffix(".json").read_bytes())
+    served = build_reference_set(sp, GRID_16, cache_dir=tmp_path / "b")
+    assert_same_refset(served, build_reference_set(sp, GRID_16))
+    assert json.loads(csv_b.with_suffix(".json").read_text())["cache_key"]["params"] == {"k": 16}
+
+
+def test_refset_cache_interrupted_sidecar_write_leaves_no_hit(tmp_path, monkeypatch):
+    sp = get_problem("two_ball", "Large")
+    dumps = json.dumps
+
+    def interrupted(obj, **kwargs):
+        if "indent" in kwargs:  # the sidecar; the cache-key digest passes
+            raise KeyboardInterrupt
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(coverage.json, "dumps", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        build_reference_set(sp, GRID_16, cache_dir=tmp_path)
+    monkeypatch.undo()
+    assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.tmp"))
+    rebuilt = build_reference_set(sp, GRID_16, cache_dir=tmp_path)
+    assert_same_refset(rebuilt, build_reference_set(sp, GRID_16))
 
 
 def test_refset_load_rejects_tampered_points(tmp_path):

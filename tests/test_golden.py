@@ -1,5 +1,6 @@
 """Golden digests: the exact bytes of ``runs.csv`` and ``cid_series.csv`` for one
-small config per algorithm, and each sampler's reference set on two_ball Large.
+small config per algorithm, each sampler's reference set on two_ball Large, and
+the poisson and fps reference sets on avp_analog Medium.
 
 A refactor or speed-up that must not change results keeps these hashes. A
 change that alters them on purpose records the new values and the reason in
@@ -71,25 +72,33 @@ def test_result_bytes_match_golden_digest(name, tmp_path):
     )
 
 
-#: Sampler spec -> (points kept, ReferenceSet.content_hash()) on two_ball Large.
+#: Name -> (problem, variant, sampler params, points kept, ReferenceSet.content_hash());
+#: the sampler is the name's last part. The two_ball sets cover every sampler;
+#: the avp_analog ones pin poisson's neighbour grid and fps's distance sums in
+#: 3-D, the dimension of the reference-set studies.
 GOLDEN_REFSETS = {
-    "grid": ({"k": 32}, 216,
+    "grid": ("two_ball", "Large", {"k": 32}, 216,
              "49049b8a7d4a19e7360282598d08b2047436ff8c19a3a8a3d351f7dd4ca3b5dd"),
-    "lhs": ({"n": 300, "seed": 3}, 69,
+    "lhs": ("two_ball", "Large", {"n": 300, "seed": 3}, 69,
             "7f92ca69b9d7c43d671a04e8a23baa1f1a3e3808d75a2e803ec164c180d5f69d"),
-    "fps": ({"n": 200, "seed": 3}, 36,
+    "fps": ("two_ball", "Large", {"n": 200, "seed": 3}, 36,
             "16b6812b95fe5ae367c06ce643a6b09a962fb3cf9bbd82c91f28182da1cdd9c9"),
-    "poisson": ({"r": 0.05, "seed": 3}, 57,
+    "poisson": ("two_ball", "Large", {"r": 0.05, "seed": 3}, 57,
                 "e20cb26dcd66bd2ec5896447bc6220806358acc51a4dca06ba4e869017cc0acd"),
-    "uniform": ({"n": 300, "seed": 3}, 74,
+    "uniform": ("two_ball", "Large", {"n": 300, "seed": 3}, 74,
                 "be0b9cb54795bec7a114689f878b82ffd1ba0d51e5b732f045676592b4700a1f"),
+    "avp_analog-poisson": ("avp_analog", "Medium", {"r": 0.1, "seed": 3}, 53,
+                           "50badff621bd3a68852f3e3729197104482fded75b9468605037b0433628b52e"),
+    "avp_analog-fps": ("avp_analog", "Medium", {"n": 200, "seed": 3}, 17,
+                       "96274d0b539ec03658b5d99d0f3dfbcaa45e159a448a81f748c7f7881cfb7575"),
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(GOLDEN_REFSETS))
-def test_reference_set_matches_golden_digest(strategy):
-    params, size, digest = GOLDEN_REFSETS[strategy]
+@pytest.mark.parametrize("name", sorted(GOLDEN_REFSETS))
+def test_reference_set_matches_golden_digest(name):
+    problem, variant, params, size, digest = GOLDEN_REFSETS[name]
+    strategy = name.split("-")[-1]
     refset = build_reference_set(
-        get_problem("two_ball", "Large"), {"strategy": strategy, "params": params}
+        get_problem(problem, variant), {"strategy": strategy, "params": params}
     )
     assert (len(refset), refset.content_hash()) == (size, digest)
