@@ -107,9 +107,9 @@ class LeaderArchive:
             # Row i of these masks compares member i with the candidate, with the
             # <= and < of core.dominates. Fitness is finite, so the candidate
             # dominates member i exactly when neither mask holds for that row.
-            no_worse = np.all(self.fitness <= fitness, axis=1)
-            better = np.any(self.fitness < fitness, axis=1)
-            if np.any(no_worse & better):
+            no_worse = (self.fitness <= fitness).all(axis=1)
+            better = (self.fitness < fitness).any(axis=1)
+            if (no_worse & better).any():
                 return False
             keep = no_worse | better
             self.positions = np.vstack([self.positions[keep], position])

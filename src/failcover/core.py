@@ -82,7 +82,7 @@ class SearchSpace:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dims,):
             return False
-        return bool(np.all(x >= self.lows) and np.all(x <= self.highs))
+        return bool(((x >= self.lows) & (x <= self.highs)).all())
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
@@ -103,7 +103,7 @@ def dominates(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) 
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"fitness vectors differ in length: {a.shape} vs {b.shape}")
-    return bool(np.all(a <= b) and np.any(a < b))
+    return bool((a <= b).all() and (a < b).any())
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,12 @@ class ProblemDefinition:
                 f"{self.name}: fitness evaluator returned shape {f.shape}, "
                 f"expected ({self.objective_count},)"
             )
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ValueError(f"{self.name}: fitness is not finite for input {x!r}")
         return f
 
 
-@dataclass
+@dataclass(slots=True)
 class Evaluation:
     """One fitness evaluation: budget index, input, fitness, verdict, batch index.
 

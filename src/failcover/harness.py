@@ -344,6 +344,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
 
 
 def _write_runs_csv(out_dir: Path, config: ExperimentConfig, runs: list[RunRecord]) -> Path:
+    """One line per evaluation, in the text ``_write_rows`` would give each value."""
     dims = CATALOG[config.problem_name].dims
     objectives = CATALOG[config.problem_name].objective_count
     with_novelty = any(r.algorithm == "nsga2d" for r in runs)
@@ -353,19 +354,19 @@ def _write_runs_csv(out_dir: Path, config: ExperimentConfig, runs: list[RunRecor
     if with_novelty:
         header.append("novelty")
     header.append("failed")
-    rows = []
-    for r in runs:
-        for ev in r.history.evaluations:
-            row = [r.run_id, r.algorithm, config.problem_name, config.variant, r.seed,
-                   ev.index, ev.generation]
-            row += [float(v) for v in ev.input]
-            row += [float(v) for v in ev.fitness]
-            if with_novelty:
-                row.append(None if ev.novelty is None else float(ev.novelty))
-            row.append(ev.failed)
-            rows.append(row)
     path = out_dir / "runs.csv"
-    _write_rows(path, header, rows)
+    with atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for r in runs:
+            prefix = f"{r.run_id},{r.algorithm},{config.problem_name},{config.variant},{r.seed},"
+            lines = []
+            for ev in r.history.evaluations:
+                cells = ",".join(map(repr, ev.input.tolist() + ev.fitness.tolist()))
+                if with_novelty:
+                    cells += "," if ev.novelty is None else f",{float(ev.novelty)!r}"
+                lines.append(f"{prefix}{ev.index},{ev.generation},{cells},"
+                             f"{'1' if ev.failed else '0'}\n")
+            fh.write("".join(lines))
     return path
 
 

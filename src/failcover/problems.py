@@ -36,6 +36,11 @@ from .samplers import grid_sample
 VARIANTS = ("Large", "Medium", "Small")
 
 
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit for bit what numpy's ``linalg.norm`` gives along axis 1."""
+    return np.sqrt(np.add.reduce(d * d, axis=1))
+
+
 @dataclass(frozen=True)
 class SyntheticProblem:
     """A problem plus its batch fitness, for whole-sample membership tests."""
@@ -94,9 +99,10 @@ def build_two_ball(
 
     def fitness_batch(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return np.stack(
-            [np.linalg.norm(pts - a, axis=1), np.linalg.norm(pts - b, axis=1)], axis=1
-        )
+        out = np.empty((len(pts), 2))
+        out[:, 0] = _row_norms(pts - a)
+        out[:, 1] = _row_norms(pts - b)
+        return out
 
     label = variant if (t1, t2) == TWO_BALL_RADII.get(variant) else "Custom"
     oracle = OracleSpec(clauses=((0, float(t1)), (1, float(t2))), variant_label=label)
@@ -134,7 +140,7 @@ TWO_REGION_MARGINS = {"Large": 0.05, "Medium": 0.02, "Small": 1e-9}
 
 def _box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     excess = np.maximum(np.maximum(lo - points, points - hi), 0.0)
-    return np.linalg.norm(excess, axis=1)
+    return _row_norms(excess)
 
 
 def build_two_region(
@@ -169,9 +175,10 @@ def build_two_region(
 
     def fitness_batch(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        f1 = np.minimum(_box_distance(pts, a_lo, a_hi), _box_distance(pts, b_lo, b_hi))
-        f2 = np.linalg.norm(pts - center_a, axis=1)
-        return np.stack([f1, f2], axis=1)
+        out = np.empty((len(pts), 2))
+        out[:, 0] = np.minimum(_box_distance(pts, a_lo, a_hi), _box_distance(pts, b_lo, b_hi))
+        out[:, 1] = _row_norms(pts - center_a)
+        return out
 
     label = variant if margin == TWO_REGION_MARGINS.get(variant) else "Custom"
     oracle = OracleSpec(clauses=((0, float(margin)),), variant_label=label)
@@ -220,11 +227,10 @@ def build_avp_analog(variant: str = "Large") -> SyntheticProblem:
 
     def fitness_batch(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        f1 = np.linalg.norm(pts[:, :2] - _AVP_TARGET, axis=1) - 0.2 * np.sin(
-            3.0 * np.pi * pts[:, 2]
-        )
-        f2 = -pts[:, 0] * (1.0 - 0.5 * pts[:, 2])
-        return np.stack([f1, f2], axis=1)
+        out = np.empty((len(pts), 2))
+        out[:, 0] = _row_norms(pts[:, :2] - _AVP_TARGET) - 0.2 * np.sin(3.0 * np.pi * pts[:, 2])
+        out[:, 1] = -pts[:, 0] * (1.0 - 0.5 * pts[:, 2])
+        return out
 
     oracle = OracleSpec(clauses=((0, t1), (1, t2)), variant_label=variant)
     problem = ProblemDefinition(

@@ -4,7 +4,10 @@ Five strategies cover every sampling need in the package: ``grid`` and ``fps``
 and ``poisson`` build reference sets, ``lhs`` seeds evolutionary populations,
 and ``uniform`` drives random search. All randomized strategies consume a
 PCG64 generator derived from an explicit integer seed, so identical seeds
-reproduce identical batches on every platform.
+reproduce identical batches on the same numpy/BLAS build. Across builds the
+draws stay the same, but ``poisson`` and the grid step measure lengths with
+``np.linalg.norm`` and ``matmul``, which go through BLAS ``ddot``; a kernel
+that uses fused multiply-adds can round a length differently in the last bit.
 """
 
 from __future__ import annotations

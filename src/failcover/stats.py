@@ -13,6 +13,12 @@ Exact p-values are computed by dynamic programming over the null distribution
 whenever the sample sizes allow (combined size <= 20 for the rank sum test
 without ties, n <= 20 pairs for the signed rank test); otherwise the normal
 approximation with tie and continuity corrections is used.
+
+Both tests rank with in-house midranks: tied values share the mean of the
+1-based positions they occupy in sorted order. Each such rank is an exact
+half-integer, so the ranks equal ``scipy.stats.rankdata``'s default
+(``method="average"``, ``nan_policy="propagate"``) bit for bit, and this
+module needs numpy only.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 RANK_SUM_EXACT_LIMIT = 20
 SIGNED_RANK_EXACT_LIMIT = 20
@@ -38,6 +43,19 @@ def _normal_two_sided(offset: float, variance: float) -> float:
         return 1.0
     z = max(0.0, abs(offset) - 0.5) / math.sqrt(variance)  # continuity correction
     return math.erfc(z / math.sqrt(2.0))
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties averaged; all NaN when any value is NaN."""
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
 
 
 def _tie_term(values: np.ndarray) -> float:
@@ -59,7 +77,7 @@ def wilcoxon_rank_sum(x, y) -> float:
     pooled = np.concatenate([x, y])
     n, m = len(x), len(y)
     total = n + m
-    ranks = rankdata(pooled)
+    ranks = _midranks(pooled)
     w = float(ranks[:n].sum())
 
     tie_free = len(np.unique(pooled)) == total
@@ -106,7 +124,7 @@ def wilcoxon_signed_rank(x, y) -> float:
     n = len(diff)
     if n == 0:
         return 1.0
-    ranks = rankdata(np.abs(diff))
+    ranks = _midranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
 
     if n <= SIGNED_RANK_EXACT_LIMIT:

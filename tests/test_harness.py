@@ -3,6 +3,7 @@ report rendering, and the command line."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,17 +277,45 @@ def test_empty_refset_aborts_cleanly(tmp_path):
     assert not list((tmp_path / "doomed").glob("*.csv"))
 
 
-def test_write_error_leaves_no_partial_runs_csv(tmp_path, monkeypatch):
-    calls = 0
+class FailingHandle:
+    """A text file whose writes stop with ``OSError`` after ``limit`` characters.
 
-    def failing_format(value):
-        nonlocal calls
-        calls += 1
-        if calls > 500:
+    The write that crosses the limit first writes the characters that fit,
+    so a partial file is on disk when the error is raised.
+    """
+
+    def __init__(self, fh, limit: int):
+        self.fh = fh
+        self.room = limit
+
+    def write(self, text: str) -> int:
+        if len(text) > self.room:
+            self.fh.write(text[: self.room])
+            self.fh.flush()
+            self.room = 0
             raise OSError("disk full")
-        return str(value)
+        self.room -= len(text)
+        return self.fh.write(text)
 
-    monkeypatch.setattr(harness, "_format_value", failing_format)
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def test_write_error_leaves_no_partial_runs_csv(tmp_path, monkeypatch):
+    # The failure is injected at open(), under whatever writes runs.csv, so a
+    # writer that skipped atomic_open would leave its partial file behind.
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).name.startswith("runs.csv"):
+            return FailingHandle(fh, limit=2000)
+        return fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
     with pytest.raises(OSError, match="disk full"):
         run_experiment(parse_config(make_config()), tmp_path / "out")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["refsets"]

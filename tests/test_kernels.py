@@ -1,10 +1,11 @@
-"""The Poisson-disc, furthest-point and non-dominated-sort kernels against the
-implementations they replaced.
+"""The Poisson-disc, furthest-point, non-dominated-sort and problem-fitness
+kernels against the implementations they replaced.
 
-``dict_grid_poisson``, ``loop_fps`` and ``broadcast_sort`` are the earlier
-versions, copied verbatim, kept here as references: the kernels must return
-exactly the same points and fronts, compared with ``==``, and the samplers
-must leave their generator in the same state (same draws, same order).
+``dict_grid_poisson``, ``loop_fps``, ``broadcast_sort`` and the ``stack_*``
+fitness functions are the earlier versions, copied verbatim, kept here as
+references: the kernels must return exactly the same points, fronts and
+fitness, compared with ``==``, and the samplers must leave their generator in
+the same state (same draws, same order).
 """
 
 import math
@@ -17,12 +18,15 @@ from hypothesis import strategies as st
 
 from failcover.algorithms import fast_nondominated_sort
 from failcover.core import SearchSpace, unit_box
+from failcover.coverage import _cache_key
+from failcover.problems import _AVP_TARGET, TWO_REGION_BOXES, VARIANTS, get_problem
 from failcover.samplers import (
     DEFAULT_POISSON_ATTEMPTS,
     FPS_POOL_CAP,
     FPS_POOL_PER_POINT,
     _sum_rows_pairwise,
     fps_sample,
+    grid_sample,
     make_rng,
     poisson_disc_sample,
 )
@@ -241,3 +245,104 @@ def test_sort_matches_broadcast_reference(fitness):
 def test_sort_edge_shapes_match_broadcast_reference(shape):
     fitness = make_rng(sum(shape)).integers(0, 5, size=shape).astype(float)
     assert fast_nondominated_sort(fitness) == broadcast_sort(fitness)
+
+
+# --- problem fitness ------------------------------------------------------------------
+
+
+def stack_two_ball(c1, c2):
+    """Reference: two_ball's fitness_batch with ``np.linalg.norm`` and ``np.stack``."""
+    a = np.asarray(c1, dtype=float)
+    b = np.asarray(c2, dtype=float)
+
+    def fitness_batch(points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        return np.stack(
+            [np.linalg.norm(pts - a, axis=1), np.linalg.norm(pts - b, axis=1)], axis=1
+        )
+
+    return fitness_batch
+
+
+def stack_box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    excess = np.maximum(np.maximum(lo - points, points - hi), 0.0)
+    return np.linalg.norm(excess, axis=1)
+
+
+def stack_two_region(boxes):
+    """Reference: two_region's fitness_batch with ``np.linalg.norm`` and ``np.stack``."""
+    (a_lo, a_hi), (b_lo, b_hi) = (
+        (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)) for lo, hi in boxes
+    )
+    center_a = (a_lo + a_hi) / 2.0
+
+    def fitness_batch(points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        f1 = np.minimum(stack_box_distance(pts, a_lo, a_hi), stack_box_distance(pts, b_lo, b_hi))
+        f2 = np.linalg.norm(pts - center_a, axis=1)
+        return np.stack([f1, f2], axis=1)
+
+    return fitness_batch
+
+
+def stack_avp_analog():
+    """Reference: avp_analog's fitness_batch with ``np.linalg.norm`` and ``np.stack``."""
+
+    def fitness_batch(points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        f1 = np.linalg.norm(pts[:, :2] - _AVP_TARGET, axis=1) - 0.2 * np.sin(
+            3.0 * np.pi * pts[:, 2]
+        )
+        f2 = -pts[:, 0] * (1.0 - 0.5 * pts[:, 2])
+        return np.stack([f1, f2], axis=1)
+
+    return fitness_batch
+
+
+CUSTOM_BALL = {"c1": (0.2, 0.3), "c2": (0.7, 0.65), "t1": 0.4, "t2": 0.35}
+CUSTOM_BOXES = (((0.05, 0.1), (0.3, 0.45)), ((0.5, 0.6), (0.95, 0.9)))
+
+#: (problem, params, reference fitness_batch, fitness_probe digest of the cache key)
+FITNESS_CASES = [
+    pytest.param("two_ball", {}, stack_two_ball((0.45, 0.5), (0.55, 0.5)),
+                 "bb4e7a4652e277d42ace01fa2af20409011488475c0609d62aae174054058496",
+                 id="two_ball"),
+    pytest.param("two_ball", CUSTOM_BALL, stack_two_ball(CUSTOM_BALL["c1"], CUSTOM_BALL["c2"]),
+                 "c09430adc7a80289e97750fc0a3d6c59f4f3c8ec48f8edc7851642fc8ecf1dbf",
+                 id="two_ball-custom"),
+    pytest.param("two_region", {}, stack_two_region(TWO_REGION_BOXES),
+                 "3e84fb74554914f9ddcc4435412aa5b4001bc3026deba3d66a407274a9c02486",
+                 id="two_region"),
+    pytest.param("two_region", {"margin": 0.07}, stack_two_region(TWO_REGION_BOXES),
+                 "3e84fb74554914f9ddcc4435412aa5b4001bc3026deba3d66a407274a9c02486",
+                 id="two_region-margin"),
+    pytest.param("two_region", {"boxes": CUSTOM_BOXES, "margin": 0.07},
+                 stack_two_region(CUSTOM_BOXES),
+                 "28ff117cd386665e9fcb7d9710f8234dd6e9b2aca1fd712a07812e7e6409b10f",
+                 id="two_region-boxes"),
+    pytest.param("avp_analog", {}, stack_avp_analog(),
+                 "7d431a09deaf68bbb4e60342089ad71ecb176b9d3dad35cbb5b5d30189f83e27",
+                 id="avp_analog"),
+]
+
+
+def fitness_probe_points(space: SearchSpace) -> np.ndarray:
+    """Random points, every box corner and every node of a 33-per-axis grid."""
+    random = make_rng(11).uniform(space.lows, space.highs, size=(20_000, space.dims))
+    corners = np.array(list(product(*space.bounds)))
+    return np.concatenate([random, corners, grid_sample(space, 33).points])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name, params, reference, probe_digest", FITNESS_CASES)
+def test_fitness_batch_matches_stack_reference(name, params, reference, probe_digest, variant):
+    synthetic = get_problem(name, variant, **params)
+    points = fitness_probe_points(synthetic.problem.space)
+    got, want = synthetic.fitness_batch(points), reference(points)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert (got == want).all()
+    assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 compare equal, bytes do not
+    for x in points[::97]:
+        got_one = synthetic.problem.fitness(x)
+        assert got_one.tobytes() == np.asarray(reference(x[None, :])[0], dtype=float).tobytes()
+    assert _cache_key(synthetic, "grid", {"k": 8})["fitness_probe"] == probe_digest

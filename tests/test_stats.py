@@ -1,14 +1,23 @@
 """Statistics: exact Wilcoxon p-values against enumeration oracles, the
-Vargha-Delaney effect size, and its magnitude bands."""
+in-house midranks against ``scipy.stats.rankdata``, the Vargha-Delaney effect
+size, and its magnitude bands."""
 
+import math
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import failcover
 from failcover.samplers import make_rng
 from failcover.stats import (
+    _midranks,
     a12,
     classify_effect,
     compare_samples,
@@ -233,3 +242,81 @@ def test_compare_samples_separated_signed_rank():
 def test_compare_samples_unknown_test():
     with pytest.raises(ValueError, match="unknown test"):
         compare_samples("a vs b", [1.0], [2.0], test="ttest")
+
+
+# --- midranks ------------------------------------------------------------------
+
+
+rank_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(rank_values, min_size=1, max_size=40))
+@example([5.0])
+@example([math.nan])
+@example([0.0, -0.0, 0.0, -0.0])
+@example([math.inf, -math.inf, math.inf, 1.0, -math.inf])
+@example([2.0, 1.0, 2.0, math.nan, 1.0])
+def test_midranks_equal_scipy_rankdata(values):
+    v = np.array(values, dtype=float)
+    got, want = _midranks(v), rankdata(v)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if np.isnan(v).any():
+        assert np.isnan(got).all() and np.isnan(want).all()
+    else:
+        assert (got == want).all()
+
+
+# --- p-values pinned at the commit that still ranked with scipy ----------------
+
+X_SMALL = [0.31, 0.12, 0.55, 0.47, 0.09, 0.73, 0.28]
+Y_SMALL = [0.61, 0.44, 0.83, 0.39, 0.92, 0.58, 0.77, 0.66]
+X_TIED = [1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0, 5.0]
+Y_TIED = [2.0, 3.0, 4.0, 4.0, 5.0, 5.0, 6.0]
+X_LARGE = [0.1 * ((7 * i) % 23) for i in range(25)]
+Y_LARGE = [0.1 * ((5 * i) % 19) + 0.35 for i in range(22)]
+PAIRED_X = [0.50, 0.42, 0.61, 0.38, 0.47, 0.55, 0.44, 0.58, 0.40, 0.52, 0.49, 0.63]
+PAIRED_Y = [0.45, 0.44, 0.52, 0.30, 0.47, 0.49, 0.36, 0.51, 0.41, 0.43, 0.40, 0.57]
+PAIRED_LARGE_X = [0.05 * ((3 * i) % 17) for i in range(30)]
+PAIRED_LARGE_Y = [0.05 * ((3 * i) % 17) - 0.05 * ((i % 5) - 1) for i in range(30)]
+
+
+@pytest.mark.parametrize(
+    "test, x, y, p_value, effect",
+    [
+        # exact: 15 tie-free values
+        ("ranksum", X_SMALL, Y_SMALL, 0.028904428904428906, 0.16071428571428573),
+        # normal approximation: ties
+        ("ranksum", X_TIED, Y_TIED, 0.09833498775850144, 0.24107142857142858),
+        # normal approximation: 47 values
+        ("ranksum", X_LARGE, Y_LARGE, 0.4239319970026, 0.4309090909090909),
+        # exact: 11 non-zero differences
+        ("signedrank", PAIRED_X, PAIRED_Y, 0.0048828125, 0.6701388888888888),
+        # normal approximation: 24 non-zero differences
+        ("signedrank", PAIRED_LARGE_X, PAIRED_LARGE_Y, 0.00185968832326524, 0.56),
+    ],
+)
+def test_p_values_pinned(test, x, y, p_value, effect):
+    rank = wilcoxon_rank_sum if test == "ranksum" else wilcoxon_signed_rank
+    assert rank(x, y) == p_value
+    result = compare_samples("a vs b", x, y, test=test)
+    assert (result.p_value, result.a12) == (p_value, effect)
+
+
+def test_import_and_parse_config_leave_scipy_stats_unloaded():
+    src = Path(failcover.__file__).resolve().parent.parent
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import failcover\n"
+        "failcover.parse_config({'problem': {'name': 'two_ball'}, 'budget': 100,"
+        " 'algorithms': [{'name': 'rs'}], 'base_seed': 0,"
+        " 'refset': {'strategy': 'grid', 'params': {'k': 8}}})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
