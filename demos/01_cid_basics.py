@@ -11,8 +11,8 @@ import numpy as np
 from failcover import CidParams, build_reference_set, cid, get_problem
 from failcover.samplers import make_rng
 
-synthetic = get_problem("two_region", "Small")
-refset = build_reference_set(synthetic, {"strategy": "grid", "params": {"k": 60}})
+problem = get_problem("two_region", "Small")
+refset = build_reference_set(problem, {"strategy": "grid", "params": {"k": 60}})
 print(f"reference set: {len(refset)} failing points out of {refset.total_sampled} sampled")
 print(f"max adjacent distance (R*): {refset.max_adjacent_distance:.4f}\n")
 

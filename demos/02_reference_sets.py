@@ -12,13 +12,13 @@ import numpy as np
 from failcover import build_reference_set, cid, get_problem
 from failcover.samplers import make_rng
 
-synthetic = get_problem("two_ball", "Large")
+problem = get_problem("two_ball", "Large")
 
 print("resolution study: CID of a fixed 20-point test set against finer grids")
 rng = make_rng(3)
 test_set = np.column_stack([rng.uniform(0.4, 0.6, 20), rng.uniform(0.8, 1.0, 20)])
 refsets = {
-    k: build_reference_set(synthetic, {"strategy": "grid", "params": {"k": k}})
+    k: build_reference_set(problem, {"strategy": "grid", "params": {"k": k}})
     for k in (16, 32, 64, 128, 256, 512)
 }
 baseline = cid(test_set, refsets[512])
@@ -39,7 +39,7 @@ strategies = {
     "uniform (1024)": {"strategy": "uniform", "params": {"n": 1024, "seed": 1}},
 }
 for label, spec in strategies.items():
-    refset = build_reference_set(synthetic, spec)
+    refset = build_reference_set(problem, spec)
     print(f"{label:26s} |Z|={len(refset):>4}  CID={cid(test_set, refset):.4f}")
 
 print("\nReference sets persist as CSV plus a JSON sidecar; repeated builds with")

@@ -27,8 +27,8 @@ BUDGET = 2000
 REPETITIONS = 10
 BASE_SEED = 20240
 
-synthetic = get_problem("two_ball", "Large")
-refset = build_reference_set(synthetic, {"strategy": "grid", "params": {"k": 64}})
+problem = get_problem("two_ball", "Large")
+refset = build_reference_set(problem, {"strategy": "grid", "params": {"k": 64}})
 print(f"two_ball Large: {len(refset)} reference points, budget {BUDGET}, "
       f"{REPETITIONS} runs per algorithm\n")
 
@@ -42,7 +42,7 @@ for name, params in (
 ):
     values, counts = [], []
     for rep in range(REPETITIONS):
-        history = run_algorithm(name, synthetic.problem, BUDGET, BASE_SEED + rep, params)
+        history = run_algorithm(name, problem, BUDGET, BASE_SEED + rep, params)
         series = convergence_series(history, refset, CidParams(), interval=500)
         values.append(series.final().cid)
         counts.append(failure_count(history))

@@ -54,7 +54,6 @@ from .harness import (
 )
 from .problems import (
     CATALOG,
-    SyntheticProblem,
     build_avp_analog,
     build_two_ball,
     build_two_region,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ProblemDefinition, RunHistory, RunLog, SearchSpace
+from ..core import ProblemDefinition, RunHistory, RunLog, SearchSpace, check_integer
 from ..samplers import lhs_sample, make_rng
 
 
@@ -27,6 +27,7 @@ class Nsga2Config:
     budget: int = 2000
 
     def __post_init__(self) -> None:
+        check_integer("population_size", self.population_size)
         if self.population_size < 4 or self.population_size % 2 != 0:
             raise ValueError(f"population_size must be even and >= 4, got {self.population_size}")
         for name in ("crossover_rate", "mutation_rate"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ProblemDefinition, RunHistory, RunLog, SearchSpace, dominates
+from ..core import ProblemDefinition, RunHistory, RunLog, SearchSpace, check_integer, dominates
 from ..samplers import make_rng
 from .nsga2 import crowding_distance
 
@@ -31,6 +31,9 @@ class OmopsoConfig:
     budget: int = 2000
 
     def __post_init__(self) -> None:
+        check_integer("swarm_size", self.swarm_size)
+        if self.archive_size is not None:
+            check_integer("archive_size", self.archive_size)
         if self.swarm_size < 1:
             raise ValueError(f"swarm_size must be positive, got {self.swarm_size}")
         if not 0.0 < self.w_min < self.w_max < 1.0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import ProblemDefinition, RunHistory, RunLog
+from ..core import ProblemDefinition, RunHistory, RunLog, check_integer
 from ..samplers import make_rng
 
 
@@ -14,6 +14,7 @@ class RandomSearchConfig:
     budget: int = 2000
 
     def __post_init__(self) -> None:
+        check_integer("batch_size", self.batch_size)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 

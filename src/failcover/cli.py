@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_problems_list() -> int:
     for name, entry in sorted(CATALOG.items()):
-        print(f"{name}: {entry.dims}-D input, {entry.objective_count} objectives")
+        problem = entry.build()
+        print(f"{name}: {problem.space.dims}-D input, {problem.objective_count} objectives")
         for variant in VARIANTS:
             print(f"  {variant}: {entry.variant_summary[variant]}")
     return 0
@@ -80,8 +81,8 @@ def _cmd_problems_list() -> int:
 
 def _cmd_refset(args: argparse.Namespace) -> int:
     params = json.loads(args.params)
-    synthetic = get_problem(args.problem, args.variant)
-    refset = build_reference_set(synthetic, {"strategy": args.strategy, "params": params})
+    problem = get_problem(args.problem, args.variant)
+    refset = build_reference_set(problem, {"strategy": args.strategy, "params": params})
     path = save_reference_set(refset, args.out)
     print(
         f"wrote {len(refset)} failing points (of {refset.total_sampled} sampled, "

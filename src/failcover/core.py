@@ -1,6 +1,10 @@
 """Core problem model: search spaces, vector fitness, failure oracles, Pareto
 dominance, and the evaluation log shared by every search algorithm.
 
+A problem is one :class:`ProblemDefinition`: a box, a batch fitness mapping
+``(N, dims)`` inputs to ``(N, objective_count)`` values, and an oracle. Its
+one-point :meth:`ProblemDefinition.fitness` is that batch fitness on one row.
+
 Conventions used throughout the package:
 
 * all fitness values are minimized,
@@ -11,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 import os
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
@@ -32,6 +37,12 @@ def atomic_open(path: Path) -> Iterator[TextIO]:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def check_integer(name: str, value: object) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class BudgetExhausted(Exception):
@@ -149,12 +160,13 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class ProblemDefinition:
-    """A testing problem: box search space, pure vector fitness, failure oracle."""
+    """A testing problem: box search space, pure batch fitness, failure oracle."""
 
     name: str
     space: SearchSpace
     objective_count: int
-    fitness_evaluator: Callable[[np.ndarray], np.ndarray]
+    #: Vectorized fitness: (N, dims) -> (N, objective_count).
+    fitness_batch: Callable[[np.ndarray], np.ndarray]
     oracle: OracleSpec
 
     def __post_init__(self) -> None:
@@ -167,16 +179,16 @@ class ProblemDefinition:
             )
 
     def fitness(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the fitness vector, checking shape and finiteness."""
-        f = np.asarray(self.fitness_evaluator(np.asarray(x, dtype=float)), dtype=float)
-        if f.shape != (self.objective_count,):
+        """Fitness vector of one input (a one-row batch), checking shape and finiteness."""
+        f = np.asarray(self.fitness_batch(np.asarray(x, dtype=float)[None, :]), dtype=float)
+        if f.shape != (1, self.objective_count):
             raise ValueError(
-                f"{self.name}: fitness evaluator returned shape {f.shape}, "
-                f"expected ({self.objective_count},)"
+                f"{self.name}: fitness_batch returned shape {f.shape} for one input, "
+                f"expected (1, {self.objective_count})"
             )
         if not np.isfinite(f).all():
             raise ValueError(f"{self.name}: fitness is not finite for input {x!r}")
-        return f
+        return f[0]
 
 
 @dataclass(slots=True)
@@ -208,13 +220,6 @@ class RunHistory:
     def __len__(self) -> int:
         return len(self.evaluations)
 
-    def failing_inputs(self) -> np.ndarray:
-        """Inputs of all failing evaluations, in evaluation order (may be empty)."""
-        failing = [ev.input for ev in self.evaluations if ev.failed]
-        if not failing:
-            return np.empty((0, self.evaluations[0].input.shape[0]) if self.evaluations else (0, 0))
-        return np.array(failing)
-
 
 class RunLog:
     """Mutable budget counter plus the growing evaluation history of one run.
@@ -225,6 +230,7 @@ class RunLog:
     """
 
     def __init__(self, problem: ProblemDefinition, budget: int):
+        check_integer("budget", budget)
         if budget < 1:
             raise ValueError(f"budget must be at least 1, got {budget}")
         self.problem = problem

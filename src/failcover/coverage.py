@@ -26,8 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import RunHistory, SearchSpace, atomic_open
-from .problems import SyntheticProblem
+from .core import ProblemDefinition, RunHistory, SearchSpace, atomic_open
 from .samplers import grid_step_diagonal, make_rng, sample_by_name
 
 
@@ -212,7 +211,7 @@ def max_nearest_neighbor_distance(points: np.ndarray) -> float:
 
 
 def build_reference_set(
-    synthetic: SyntheticProblem,
+    problem: ProblemDefinition,
     sampler: dict,
     cache_dir: str | Path | None = None,
 ) -> ReferenceSet:
@@ -225,17 +224,16 @@ def build_reference_set(
     """
     strategy = sampler.get("strategy")
     params = dict(sampler.get("params", {}))
-    problem = synthetic.problem
 
     if cache_dir is not None:
-        key = _cache_key(synthetic, strategy, params)
+        key = _cache_key(problem, strategy, params)
         digest = _digest(key)
         csv_path = Path(cache_dir) / f"refset-{digest[:12]}.csv"
         if _sidecar_key(csv_path) == digest:
             return load_reference_set(csv_path)
 
     batch = sample_by_name(problem.space, strategy, params)
-    failing = problem.oracle.mask(synthetic.fitness_batch(batch.points))
+    failing = problem.oracle.mask(problem.fitness_batch(batch.points))
     points = _dedupe_preserving_order(batch.points[failing])
     if len(points) == 0:
         raise EmptyReferenceSetError(
@@ -265,14 +263,13 @@ def build_reference_set(
 _CACHE_FORMAT = 2
 
 
-def _cache_key(synthetic: SyntheticProblem, strategy: str, params: dict) -> dict:
+def _cache_key(problem: ProblemDefinition, strategy: str, params: dict) -> dict:
     """Everything that decides a cached reference set's points.
 
     The oracle clauses carry the thresholds. Problem parameters that move the
     fitness itself (two_ball's centers, two_region's boxes) show in the fitness
     at a fixed set of probe points.
     """
-    problem = synthetic.problem
     probe = make_rng(0).uniform(problem.space.lows, problem.space.highs,
                                 size=(16, problem.space.dims))
     return {
@@ -281,7 +278,7 @@ def _cache_key(synthetic: SyntheticProblem, strategy: str, params: dict) -> dict
         "variant": problem.oracle.variant_label,
         "clauses": [list(clause) for clause in problem.oracle.clauses],
         "bounds": [list(bound) for bound in problem.space.bounds],
-        "fitness_probe": hashlib.sha256(synthetic.fitness_batch(probe).tobytes()).hexdigest(),
+        "fitness_probe": hashlib.sha256(problem.fitness_batch(probe).tobytes()).hexdigest(),
         "strategy": strategy,
         "params": params,
     }

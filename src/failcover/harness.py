@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .algorithms import ALGORITHM_NAMES, REGISTRY, make_config, run_algorithm
-from .core import RunHistory, atomic_open
+from .core import ProblemDefinition, RunHistory, atomic_open, check_integer
 from .coverage import (
     CidParams,
     ConvergenceSeries,
@@ -111,6 +111,16 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _integer(mapping: dict, key: str, path: str, default: int | None = None) -> int:
+    """``mapping[key]`` (or ``default``) as an int; ``ConfigError`` unless it is an integer."""
+    value = _require(mapping, key, path) if default is None else mapping.get(key, default)
+    try:
+        check_integer(f"{path}.{key}", value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return int(value)
+
+
 def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -147,7 +157,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.problem.params: {exc}") from exc
 
-    budget = int(_require(raw, "budget", "config"))
+    budget = _integer(raw, "budget", "config")
     if budget < 1:
         raise ConfigError(f"config.budget: must be positive, got {budget}")
 
@@ -181,10 +191,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if len({a.name for a in algorithms}) != len(algorithms):
         raise ConfigError("config.algorithms: each algorithm may appear only once")
 
-    repetitions = int(raw.get("repetitions", DEFAULT_REPETITIONS))
+    repetitions = _integer(raw, "repetitions", "config", DEFAULT_REPETITIONS)
     if repetitions < 1:
         raise ConfigError(f"config.repetitions: must be positive, got {repetitions}")
-    base_seed = int(_require(raw, "base_seed", "config"))
+    base_seed = _integer(raw, "base_seed", "config")
     if base_seed < 0:
         raise ConfigError(f"config.base_seed: must be non-negative, got {base_seed}")
 
@@ -209,7 +219,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         cid_params = CidParams(p=float(cid_raw.get("p", 2.0)), q=float(cid_raw.get("q", 1.0)))
     except ValueError as exc:
         raise ConfigError(f"config.cid: {exc}") from exc
-    cid_interval = int(cid_raw.get("interval", DEFAULT_CID_INTERVAL))
+    cid_interval = _integer(cid_raw, "interval", "config.cid", DEFAULT_CID_INTERVAL)
     if cid_interval < 1:
         raise ConfigError(f"config.cid.interval: must be positive, got {cid_interval}")
 
@@ -289,11 +299,12 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_format_value(v) for v in row])
 
 
-def _resolve_refset(config: ExperimentConfig, out_dir: Path) -> ReferenceSet:
+def _resolve_refset(
+    config: ExperimentConfig, problem: ProblemDefinition, out_dir: Path
+) -> ReferenceSet:
     if "path" in config.refset_spec:
         return load_reference_set(config.refset_spec["path"])
-    synthetic = get_problem(config.problem_name, config.variant, **config.problem_params)
-    return build_reference_set(synthetic, config.refset_spec, cache_dir=out_dir / "refsets")
+    return build_reference_set(problem, config.refset_spec, cache_dir=out_dir / "refsets")
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
@@ -305,16 +316,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    refset = _resolve_refset(config, out_dir)
+    problem = get_problem(config.problem_name, config.variant, **config.problem_params)
+    refset = _resolve_refset(config, problem, out_dir)
 
-    synthetic = get_problem(config.problem_name, config.variant, **config.problem_params)
     runs: list[RunRecord] = []
     for spec in config.algorithms:
         for rep in range(config.repetitions):
             seed = config.base_seed + rep
-            history = run_algorithm(
-                spec.name, synthetic.problem, config.budget, seed, spec.params
-            )
+            history = run_algorithm(spec.name, problem, config.budget, seed, spec.params)
             series = convergence_series(
                 history, refset, config.cid_params, config.cid_interval
             )
@@ -332,7 +341,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
 
     written: list[Path] = []
     try:
-        written.append(_write_runs_csv(out_dir, config, runs))
+        written.append(_write_runs_csv(out_dir, config, problem, runs))
         written.append(_write_series_csv(out_dir, runs))
         written.append(_write_summary_csv(out_dir, config, runs))
         written.append(_write_manifest(out_dir, config, refset, runs))
@@ -343,14 +352,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     return ExperimentResult(config=config, refset=refset, runs=runs, out_dir=out_dir)
 
 
-def _write_runs_csv(out_dir: Path, config: ExperimentConfig, runs: list[RunRecord]) -> Path:
+def _write_runs_csv(
+    out_dir: Path, config: ExperimentConfig, problem: ProblemDefinition, runs: list[RunRecord]
+) -> Path:
     """One line per evaluation, in the text ``_write_rows`` would give each value."""
-    dims = CATALOG[config.problem_name].dims
-    objectives = CATALOG[config.problem_name].objective_count
     with_novelty = any(r.algorithm == "nsga2d" for r in runs)
     header = ["run_id", "algorithm", "problem", "variant", "seed", "eval_index", "generation"]
-    header += [f"x{j + 1}" for j in range(dims)]
-    header += [f"f{j + 1}" for j in range(objectives)]
+    header += [f"x{j + 1}" for j in range(problem.space.dims)]
+    header += [f"f{j + 1}" for j in range(problem.objective_count)]
     if with_novelty:
         header.append("novelty")
     header.append("failed")
@@ -472,6 +481,8 @@ def compare(in_dir: str | Path, test: str = "ranksum", alpha: float = 0.05) -> l
     """
     if test not in ("ranksum", "signedrank"):
         raise ConfigError(f"test: unknown test {test!r}, expected 'ranksum' or 'signedrank'")
+    if not 0 < alpha < 1:
+        raise ConfigError(f"alpha: must be in (0, 1), got {alpha!r}")
     in_dir = Path(in_dir)
     manifest, by_algorithm = _read_final_cids(in_dir)
     if len(by_algorithm) < 2:

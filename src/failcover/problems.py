@@ -1,9 +1,9 @@
 """Catalog of closed-form test problems with analytically known failure regions.
 
-Each problem pairs a :class:`~failcover.core.ProblemDefinition` with a
-closed-form batch fitness, so failure-region membership (the oracle's mask of
-that fitness), reference sets and coverage results can be validated without
-any search. Three problems ship:
+Each builder returns a :class:`~failcover.core.ProblemDefinition` whose
+``fitness_batch`` is closed-form, so failure-region membership (the oracle's
+mask of that fitness), reference sets and coverage results can be validated
+without any search. Three problems ship:
 
 ``two_ball``
     Two distance objectives in the unit square. The failure region is the
@@ -42,21 +42,8 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SyntheticProblem:
-    """A problem plus its batch fitness, for whole-sample membership tests."""
-
-    problem: ProblemDefinition
-    #: Vectorized fitness: (N, dims) -> (N, m). Used for reference sets and
-    #: volume estimates, where point-at-a-time evaluation would be slow.
-    fitness_batch: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class ProblemCatalogEntry:
-    name: str
-    dims: int
-    objective_count: int
-    build: Callable[..., SyntheticProblem]
+    build: Callable[..., ProblemDefinition]
     variant_summary: dict[str, str]
 
 
@@ -73,7 +60,7 @@ def build_two_ball(
     c2: tuple[float, float] = (0.55, 0.5),
     t1: float | None = None,
     t2: float | None = None,
-) -> SyntheticProblem:
+) -> ProblemDefinition:
     """Distance-to-two-centers problem whose failure region is a disc lens.
 
     f1 and f2 are the Euclidean distances to ``c1`` and ``c2``; a failure
@@ -106,14 +93,8 @@ def build_two_ball(
 
     label = variant if (t1, t2) == TWO_BALL_RADII.get(variant) else "Custom"
     oracle = OracleSpec(clauses=((0, float(t1)), (1, float(t2))), variant_label=label)
-    problem = ProblemDefinition(
-        name="two_ball",
-        space=space,
-        objective_count=2,
-        fitness_evaluator=lambda x: fitness_batch(x[None, :])[0],
-        oracle=oracle,
-    )
-    return SyntheticProblem(problem=problem, fitness_batch=fitness_batch)
+    return ProblemDefinition(name="two_ball", space=space, objective_count=2,
+                             fitness_batch=fitness_batch, oracle=oracle)
 
 
 def two_ball_lens_area(r1: float, r2: float, d: float) -> float:
@@ -147,7 +128,7 @@ def build_two_region(
     variant: str = "Large",
     boxes: tuple = TWO_REGION_BOXES,
     margin: float | None = None,
-) -> SyntheticProblem:
+) -> ProblemDefinition:
     """Two disjoint failure boxes in the unit square.
 
     f1 is the Euclidean distance to the nearest box (zero inside), f2 the
@@ -182,14 +163,8 @@ def build_two_region(
 
     label = variant if margin == TWO_REGION_MARGINS.get(variant) else "Custom"
     oracle = OracleSpec(clauses=((0, float(margin)),), variant_label=label)
-    problem = ProblemDefinition(
-        name="two_region",
-        space=space,
-        objective_count=2,
-        fitness_evaluator=lambda x: fitness_batch(x[None, :])[0],
-        oracle=oracle,
-    )
-    return SyntheticProblem(problem=problem, fitness_batch=fitness_batch)
+    return ProblemDefinition(name="two_region", space=space, objective_count=2,
+                             fitness_batch=fitness_batch, oracle=oracle)
 
 
 def two_region_failing_area(margin: float, boxes: tuple = TWO_REGION_BOXES) -> float:
@@ -212,7 +187,7 @@ AVP_ANALOG_THRESHOLDS = {
 _AVP_TARGET = np.array([0.7, 0.3])
 
 
-def build_avp_analog(variant: str = "Large") -> SyntheticProblem:
+def build_avp_analog(variant: str = "Large") -> ProblemDefinition:
     """Desk-scale stand-in for a 3-variable driving-scenario search.
 
     f1 is the planar distance of (x1, x2) to a target point, modulated by a
@@ -233,41 +208,22 @@ def build_avp_analog(variant: str = "Large") -> SyntheticProblem:
         return out
 
     oracle = OracleSpec(clauses=((0, t1), (1, t2)), variant_label=variant)
-    problem = ProblemDefinition(
-        name="avp_analog",
-        space=space,
-        objective_count=2,
-        fitness_evaluator=lambda x: fitness_batch(x[None, :])[0],
-        oracle=oracle,
-    )
-    return SyntheticProblem(problem=problem, fitness_batch=fitness_batch)
+    return ProblemDefinition(name="avp_analog", space=space, objective_count=2,
+                             fitness_batch=fitness_batch, oracle=oracle)
 
 
 # --- catalog ----------------------------------------------------------------
 
 CATALOG: dict[str, ProblemCatalogEntry] = {
     "two_ball": ProblemCatalogEntry(
-        name="two_ball",
-        dims=2,
-        objective_count=2,
         build=build_two_ball,
-        variant_summary={
-            v: f"disc radii {TWO_BALL_RADII[v]}" for v in VARIANTS
-        },
+        variant_summary={v: f"disc radii {TWO_BALL_RADII[v]}" for v in VARIANTS},
     ),
     "two_region": ProblemCatalogEntry(
-        name="two_region",
-        dims=2,
-        objective_count=2,
         build=build_two_region,
-        variant_summary={
-            v: f"distance margin {TWO_REGION_MARGINS[v]}" for v in VARIANTS
-        },
+        variant_summary={v: f"distance margin {TWO_REGION_MARGINS[v]}" for v in VARIANTS},
     ),
     "avp_analog": ProblemCatalogEntry(
-        name="avp_analog",
-        dims=3,
-        objective_count=2,
         build=build_avp_analog,
         variant_summary={
             v: f"f1 < {AVP_ANALOG_THRESHOLDS[v][0]}, f2 < {AVP_ANALOG_THRESHOLDS[v][1]}"
@@ -277,14 +233,14 @@ CATALOG: dict[str, ProblemCatalogEntry] = {
 }
 
 
-def get_problem(name: str, variant: str = "Large", **params) -> SyntheticProblem:
+def get_problem(name: str, variant: str = "Large", **params) -> ProblemDefinition:
     """Build a catalog problem by name and oracle variant."""
     if name not in CATALOG:
         raise ValueError(f"unknown problem {name!r}, expected one of {sorted(CATALOG)}")
     return CATALOG[name].build(variant=variant, **params)
 
 
-def doi_volume_estimate(synthetic: SyntheticProblem, k: int) -> float:
+def doi_volume_estimate(problem: ProblemDefinition, k: int) -> float:
     """Fraction of the k-per-axis grid whose nodes fall in the failure region."""
-    batch = grid_sample(synthetic.problem.space, k)
-    return float(np.mean(synthetic.problem.oracle.mask(synthetic.fitness_batch(batch.points))))
+    batch = grid_sample(problem.space, k)
+    return float(np.mean(problem.oracle.mask(problem.fitness_batch(batch.points))))

@@ -13,11 +13,12 @@ that uses fused multiply-adds can round a length differently in the last bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SearchSpace
+from .core import SearchSpace, check_integer
 
 #: Default number of dart throws per active point in Poisson disc sampling.
 DEFAULT_POISSON_ATTEMPTS = 30
@@ -280,7 +281,7 @@ _STRATEGY_KEYS = {
 
 
 def validate_sampler_params(strategy: str, params: dict) -> None:
-    """Reject unknown or missing sampler parameters for a config-named strategy."""
+    """Reject unknown, missing or mistyped sampler parameters for a config-named strategy."""
     if strategy not in STRATEGIES:
         raise ValueError(
             f"unknown sampling strategy {strategy!r}, expected one of {sorted(STRATEGIES)}"
@@ -292,6 +293,12 @@ def validate_sampler_params(strategy: str, params: dict) -> None:
     missing = required - set(params)
     if missing:
         raise ValueError(f"{strategy} sampler: missing required parameters {sorted(missing)}")
+    for key, value in params.items():
+        name = f"{strategy} sampler parameter {key}"
+        if key != "r":
+            check_integer(name, value)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def sample_by_name(

@@ -286,7 +286,7 @@ def two_ball_final_cids():
     ):
         values = []
         for rep in range(REPETITIONS):
-            history = fc.run_algorithm(name, sp.problem, 2000, BASE_SEED + rep, params)
+            history = fc.run_algorithm(name, sp, 2000, BASE_SEED + rep, params)
             series = fc.convergence_series(history, refset, CidParams(), interval=100)
             values.append(series.final().cid)
         finals[name] = np.array(values)
@@ -329,7 +329,7 @@ def test_criterion_10_pareto_search_finds_first_failure_sooner():
     for name, params in (("nsga2", {"population_size": 40}), ("rs", {"batch_size": 40})):
         iterations = []
         for rep in range(REPETITIONS):
-            history = fc.run_algorithm(name, sp.problem, 2000, BASE_SEED + rep, params)
+            history = fc.run_algorithm(name, sp, 2000, BASE_SEED + rep, params)
             first = fc.first_failure_iteration(history, 40)
             assert first is not None, f"{name} found no failure with seed {BASE_SEED + rep}"
             iterations.append(first)

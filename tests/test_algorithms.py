@@ -204,21 +204,21 @@ def test_archive_pairwise_invariant_after_random_insertions():
 
 
 def test_rs_generation_pattern():
-    hist = run_random_search(TWO_BALL.problem, RandomSearchConfig(batch_size=5, budget=10), seed=1)
+    hist = run_random_search(TWO_BALL, RandomSearchConfig(batch_size=5, budget=10), seed=1)
     assert [ev.generation for ev in hist.evaluations] == [0] * 5 + [1] * 5
 
 
 def test_rs_determinism():
     config = RandomSearchConfig(batch_size=10, budget=100)
-    a = run_random_search(TWO_BALL.problem, config, seed=3)
-    b = run_random_search(TWO_BALL.problem, config, seed=3)
+    a = run_random_search(TWO_BALL, config, seed=3)
+    b = run_random_search(TWO_BALL, config, seed=3)
     assert_histories_identical(a, b)
 
 
 def test_rs_failure_count_binomial_bound():
     fraction = doi_volume_estimate(TWO_BALL, k=256)
     config = RandomSearchConfig(batch_size=40, budget=2000)
-    hist = run_random_search(TWO_BALL.problem, config, seed=11)
+    hist = run_random_search(TWO_BALL, config, seed=11)
     failures = sum(ev.failed for ev in hist.evaluations)
     sigma = np.sqrt(2000 * fraction * (1 - fraction))
     assert abs(failures - 2000 * fraction) <= 3 * sigma
@@ -229,21 +229,21 @@ def test_rs_failure_count_binomial_bound():
 
 def test_nsga2_budget_equals_population_is_init_only():
     config = Nsga2Config(population_size=20, budget=20)
-    hist = run_nsga2(TWO_BALL.problem, config, seed=4)
+    hist = run_nsga2(TWO_BALL, config, seed=4)
     assert len(hist) == 20
     assert all(ev.generation == 0 for ev in hist.evaluations)
 
 
 def test_nsga2_determinism():
     config = Nsga2Config(population_size=20, budget=150)
-    a = run_nsga2(TWO_BALL.problem, config, seed=5)
-    b = run_nsga2(TWO_BALL.problem, config, seed=5)
+    a = run_nsga2(TWO_BALL, config, seed=5)
+    b = run_nsga2(TWO_BALL, config, seed=5)
     assert_histories_identical(a, b)
 
 
 def test_nsga2_converges_toward_pareto_segment():
     config = Nsga2Config(population_size=40, budget=2000)
-    hist = run_nsga2(TWO_BALL.problem, config, seed=6)
+    hist = run_nsga2(TWO_BALL, config, seed=6)
     c1, c2 = np.array([0.45, 0.5]), np.array([0.55, 0.5])
 
     def dist_to_segment(pts):
@@ -270,7 +270,7 @@ def test_nsga2_config_validation():
 
 def test_nsga2d_replacement_counts_per_generation():
     config = NsgaDConfig(population_size=40, budget=172)
-    hist = run_nsga2d(TWO_BALL.problem, config, seed=7)
+    hist = run_nsga2d(TWO_BALL, config, seed=7)
     per_gen = {}
     for ev in hist.evaluations:
         per_gen[ev.generation] = per_gen.get(ev.generation, 0) + 1
@@ -282,7 +282,7 @@ def test_nsga2d_replacement_counts_per_generation():
 
 def test_nsga2d_huge_threshold_archive_holds_one():
     config = NsgaDConfig(population_size=20, budget=200, archive_threshold=1e9)
-    hist = run_nsga2d(TWO_BALL.problem, config, seed=8)
+    hist = run_nsga2d(TWO_BALL, config, seed=8)
     # With an unreachable threshold only the first failure is archived, so the
     # recorded novelty of later evaluations is its distance to that one point.
     failing = [ev for ev in hist.evaluations if ev.failed]
@@ -297,15 +297,15 @@ def test_nsga2d_huge_threshold_archive_holds_one():
 
 def test_nsga2d_novelty_recorded():
     config = NsgaDConfig(population_size=20, budget=100)
-    hist = run_nsga2d(TWO_BALL.problem, config, seed=9)
+    hist = run_nsga2d(TWO_BALL, config, seed=9)
     assert all(ev.novelty is not None for ev in hist.evaluations)
     assert hist.evaluations[0].novelty == np.inf  # archive empty at first evaluation
 
 
 def test_nsga2d_determinism():
     config = NsgaDConfig(population_size=20, budget=150)
-    a = run_nsga2d(TWO_BALL.problem, config, seed=10)
-    b = run_nsga2d(TWO_BALL.problem, config, seed=10)
+    a = run_nsga2d(TWO_BALL, config, seed=10)
+    b = run_nsga2d(TWO_BALL, config, seed=10)
     assert_histories_identical(a, b)
 
 
@@ -370,22 +370,22 @@ def test_leader_archive_truncates_to_capacity():
 
 def test_omopso_budget_equals_swarm_is_init_only():
     config = OmopsoConfig(swarm_size=20, budget=20)
-    hist = run_omopso(TWO_BALL.problem, config, seed=12)
+    hist = run_omopso(TWO_BALL, config, seed=12)
     assert len(hist) == 20
     assert all(ev.generation == 0 for ev in hist.evaluations)
 
 
 def test_omopso_determinism():
     config = OmopsoConfig(swarm_size=20, budget=150)
-    a = run_omopso(TWO_BALL.problem, config, seed=13)
-    b = run_omopso(TWO_BALL.problem, config, seed=13)
+    a = run_omopso(TWO_BALL, config, seed=13)
+    b = run_omopso(TWO_BALL, config, seed=13)
     assert_histories_identical(a, b)
 
 
 def test_omopso_archive_nondominated_every_step():
     snapshots = []
     config = OmopsoConfig(swarm_size=20, budget=300)
-    run_omopso(TWO_BALL.problem, config, seed=14, archive_monitor=snapshots.append)
+    run_omopso(TWO_BALL, config, seed=14, archive_monitor=snapshots.append)
     assert len(snapshots) >= 2
     for fits in snapshots:
         for i in range(len(fits)):
@@ -411,24 +411,46 @@ def test_budget_exactness_and_bounds(name, problem_name):
     small = {"rs": {"batch_size": 20}, "nsga2": {"population_size": 20},
              "nsga2d": {"population_size": 20}, "omopso": {"swarm_size": 20}}[name]
     for seed in range(10):
-        hist = run_algorithm(name, sp.problem, budget=60, seed=seed, params=small)
+        hist = run_algorithm(name, sp, budget=60, seed=seed, params=small)
         assert len(hist) == 60
         assert [ev.index for ev in hist.evaluations] == list(range(60))
         for ev in hist.evaluations:
-            assert sp.problem.space.contains(ev.input)
+            assert sp.space.contains(ev.input)
 
 
 def test_run_algorithm_unknown_name():
     with pytest.raises(ValueError, match="unknown algorithm"):
-        run_algorithm("nsga3", TWO_BALL.problem, 100, 0)
+        run_algorithm("nsga3", TWO_BALL, 100, 0)
 
 
 def test_run_algorithm_rejects_unknown_rs_params():
     with pytest.raises(ValueError, match="rs parameters"):
-        run_algorithm("rs", TWO_BALL.problem, 100, 0, {"population_size": 4})
+        run_algorithm("rs", TWO_BALL, 100, 0, {"population_size": 4})
 
 
 @pytest.mark.parametrize("name", ["nsga2", "nsga2d", "omopso"])
 def test_run_algorithm_rejects_unknown_params(name):
     with pytest.raises(ValueError, match=f"unknown {name} parameters.*'batch'"):
-        run_algorithm(name, TWO_BALL.problem, 100, 0, {"batch": 4})
+        run_algorithm(name, TWO_BALL, 100, 0, {"batch": 4})
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("rs", {"batch_size": 2.5}),
+        ("nsga2", {"population_size": 40.0}),
+        ("nsga2d", {"population_size": "20"}),
+        ("omopso", {"swarm_size": 10.0}),
+        ("omopso", {"archive_size": 5.5}),
+    ],
+)
+def test_run_algorithm_rejects_non_integer_sizes(name, params):
+    (field,) = params
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        run_algorithm(name, TWO_BALL, 100, 0, params)
+
+
+@pytest.mark.parametrize("budget", [150.7, True])
+def test_run_algorithm_rejects_non_integer_budget(budget):
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        run_algorithm("rs", TWO_BALL, budget, 0)

@@ -128,12 +128,16 @@ def test_search_space_contains_and_clip():
 # --- evaluation log -----------------------------------------------------------
 
 
-def _toy_problem() -> ProblemDefinition:
+def _toy_fitness(X: np.ndarray) -> np.ndarray:
+    return np.stack([X[:, 0], X[:, 1] - 1.0], axis=1)
+
+
+def _toy_problem(fitness_batch=_toy_fitness) -> ProblemDefinition:
     return ProblemDefinition(
         name="toy",
         space=unit_box(2),
         objective_count=2,
-        fitness_evaluator=lambda x: np.array([x[0], x[1] - 1.0]),
+        fitness_batch=fitness_batch,
         oracle=OracleSpec(clauses=((1, -0.5),)),
     )
 
@@ -175,18 +179,48 @@ def test_problem_rejects_bad_oracle_index():
             name="bad",
             space=unit_box(1),
             objective_count=1,
-            fitness_evaluator=lambda x: x,
+            fitness_batch=lambda X: X,
             oracle=OracleSpec(clauses=((3, 0.0),)),
         )
 
 
-def test_history_failing_inputs():
+def test_history_records_run_identity():
     log = RunLog(_toy_problem(), budget=3)
     log.evaluate([0.2, 0.1])
     log.evaluate([0.2, 0.9])
     log.evaluate([0.7, 0.2])
     hist = log.history("toy-algo", seed=5)
-    failing = hist.failing_inputs()
-    assert failing.shape == (2, 2)
-    np.testing.assert_allclose(failing[0], [0.2, 0.1])
+    assert [ev.failed for ev in hist.evaluations] == [True, False, True]
     assert hist.seed == 5 and hist.algorithm_name == "toy-algo"
+
+
+def test_fitness_is_row_zero_of_a_one_row_batch():
+    seen = []
+
+    def fitness_batch(X):
+        seen.append(X.copy())
+        return _toy_fitness(X)
+
+    f = _toy_problem(fitness_batch).fitness([0.25, 0.5])
+    assert len(seen) == 1 and seen[0].shape == (1, 2) and seen[0].dtype == float
+    assert f.shape == (2,) and f.tolist() == [0.25, -0.5]
+
+
+@pytest.mark.parametrize(
+    "fitness_batch, shape",
+    [
+        (lambda X: X[0], r"\(2,\)"),  # one fitness vector instead of a one-row batch
+        (lambda X: np.concatenate([X, X]), r"\(2, 2\)"),  # two rows for one input
+        (lambda X: X[:, :1], r"\(1, 1\)"),  # too few objectives
+    ],
+)
+def test_fitness_rejects_a_batch_of_the_wrong_shape(fitness_batch, shape):
+    with pytest.raises(ValueError, match=rf"toy: fitness_batch returned shape {shape}"):
+        _toy_problem(fitness_batch).fitness(np.array([0.25, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fitness_rejects_non_finite_values(bad):
+    problem = _toy_problem(lambda X: np.stack([X[:, 0], np.full(len(X), bad)], axis=1))
+    with pytest.raises(ValueError, match="not finite"):
+        problem.fitness(np.array([0.25, 0.5]))

@@ -276,7 +276,7 @@ def test_refset_nongrid_r_star_is_max_nn_distance():
 def test_refset_points_are_failing_and_unique():
     sp = get_problem("avp_analog", "Medium")
     refset = build_reference_set(sp, {"strategy": "grid", "params": {"k": 12}})
-    assert np.all(sp.problem.oracle.mask(sp.fitness_batch(refset.points)))
+    assert np.all(sp.oracle.mask(sp.fitness_batch(refset.points)))
     assert len(np.unique(refset.points, axis=0)) == len(refset.points)
 
 

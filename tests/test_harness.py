@@ -156,6 +156,77 @@ def test_bad_refset_params_rejected_at_load():
         parse_config(make_config(refset={"strategy": "poisson", "params": {}}))
 
 
+@pytest.mark.parametrize("value", [150.7, "150", True, "abc", None])
+@pytest.mark.parametrize("field", ["budget", "repetitions", "base_seed"])
+def test_top_level_integer_fields_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=rf"config\.{field} must be an integer"):
+        parse_config(make_config(**{field: value}))
+
+
+@pytest.mark.parametrize("value", [40.5, "40", False])
+def test_cid_interval_must_be_an_integer(value):
+    with pytest.raises(ConfigError, match=r"config\.cid\.interval must be an integer"):
+        parse_config(make_config(cid={"interval": value}))
+
+
+@pytest.mark.parametrize(
+    "strategy, params, key",
+    [
+        ("grid", {"k": 16.5}, "k"),
+        ("grid", {"k": True}, "k"),
+        ("lhs", {"n": "50"}, "n"),
+        ("fps", {"n": 20, "candidate_pool_size": 400.0}, "candidate_pool_size"),
+        ("fps", {"n": 20, "seed": 1.5}, "seed"),
+        ("poisson", {"r": 0.1, "attempts_per_point": 30.0}, "attempts_per_point"),
+        ("poisson", {"r": "0.1"}, "r"),
+        ("poisson", {"r": True}, "r"),
+    ],
+)
+def test_refset_sampler_params_have_their_types_checked_at_parse(strategy, params, key):
+    raw = make_config(refset={"strategy": strategy, "params": params})
+    with pytest.raises(ConfigError, match=rf"config\.refset: {strategy} sampler parameter {key}"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("rs", "batch_size", 2.5),
+        ("rs", "batch_size", "20"),
+        ("nsga2", "population_size", 40.0),
+        ("nsga2d", "population_size", True),
+        ("omopso", "swarm_size", 10.0),
+        ("omopso", "archive_size", 5.5),
+    ],
+)
+def test_algorithm_size_fields_must_be_integers(name, field, value):
+    raw = make_config(algorithms=[{"name": name, "params": {field: value}}])
+    with pytest.raises(ConfigError,
+                       match=rf"config\.algorithms\[0\]\.params: {field} must be an integer"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize(
+    "overrides, digest",
+    [
+        ({}, "fc2c55de289e85a12ef98412bb34adbed98bc78078b0c7fb4498fd16732a2cb6"),
+        (
+            {
+                "algorithms": [{"name": "omopso", "params": {"swarm_size": 20, "archive_size": 10}},
+                               {"name": "nsga2d", "preset": "avp"}],
+                "budget": 200,
+                "refset": {"strategy": "fps",
+                           "params": {"n": 50, "candidate_pool_size": 500, "seed": 3}},
+                "cid": {"p": 2, "q": 1, "interval": 30},
+            },
+            "99f98f1cf48ff044c716802d5edbbfe01fbc646c8057602032a686a2abe33215",
+        ),
+    ],
+)
+def test_integer_configs_keep_their_config_hash(overrides, digest):
+    assert parse_config(make_config(**overrides)).config_hash() == digest
+
+
 def test_cli_uses_config_output_dir(tmp_path):
     raw = make_config(output_dir=str(tmp_path / "from-config"))
     config_path = tmp_path / "config.json"
@@ -347,6 +418,19 @@ def test_compare_writes_stats(experiment):
     ]
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -0.05, float("nan")])
+def test_compare_rejects_alpha_outside_unit_interval(experiment, alpha):
+    _, _, out = experiment
+    with pytest.raises(ConfigError, match="alpha"):
+        compare(out, alpha=alpha)
+
+
+def test_cli_compare_bad_alpha_exit_code(experiment, capsys):
+    _, _, out = experiment
+    assert cli_main(["compare", "--in", str(out), "--alpha", "2"]) == 1
+    assert "alpha" in capsys.readouterr().err
+
+
 def test_compare_three_algorithms_three_pairs(tmp_path):
     raw = make_config(
         algorithms=[
@@ -445,10 +529,25 @@ def test_report_missing_inputs_error(tmp_path):
 # --- command line ---------------------------------------------------------------------------
 
 
+PROBLEMS_LIST = """\
+avp_analog: 3-D input, 2 objectives
+  Large: f1 < 0.25, f2 < -0.4
+  Medium: f1 < 0.18, f2 < -0.5
+  Small: f1 < 0.12, f2 < -0.55
+two_ball: 2-D input, 2 objectives
+  Large: disc radii (0.3, 0.3)
+  Medium: disc radii (0.22, 0.22)
+  Small: disc radii (0.15, 0.15)
+two_region: 2-D input, 2 objectives
+  Large: distance margin 0.05
+  Medium: distance margin 0.02
+  Small: distance margin 1e-09
+"""
+
+
 def test_cli_problems_list(capsys):
     assert cli_main(["problems", "list"]) == 0
-    out = capsys.readouterr().out
-    assert "two_ball" in out and "avp_analog" in out and "Small" in out
+    assert capsys.readouterr().out == PROBLEMS_LIST
 
 
 def test_cli_refset_and_cid(tmp_path, capsys):

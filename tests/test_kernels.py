@@ -336,13 +336,13 @@ def fitness_probe_points(space: SearchSpace) -> np.ndarray:
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("name, params, reference, probe_digest", FITNESS_CASES)
 def test_fitness_batch_matches_stack_reference(name, params, reference, probe_digest, variant):
-    synthetic = get_problem(name, variant, **params)
-    points = fitness_probe_points(synthetic.problem.space)
-    got, want = synthetic.fitness_batch(points), reference(points)
+    problem = get_problem(name, variant, **params)
+    points = fitness_probe_points(problem.space)
+    got, want = problem.fitness_batch(points), reference(points)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert (got == want).all()
     assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 compare equal, bytes do not
     for x in points[::97]:
-        got_one = synthetic.problem.fitness(x)
+        got_one = problem.fitness(x)
         assert got_one.tobytes() == np.asarray(reference(x[None, :])[0], dtype=float).tobytes()
-    assert _cache_key(synthetic, "grid", {"k": 8})["fitness_probe"] == probe_digest
+    assert _cache_key(problem, "grid", {"k": 8})["fitness_probe"] == probe_digest

@@ -8,6 +8,7 @@ from failcover.core import dominates
 from failcover.problems import (
     CATALOG,
     TWO_REGION_MARGINS,
+    VARIANTS,
     build_avp_analog,
     build_two_ball,
     build_two_region,
@@ -24,13 +25,13 @@ from failcover.samplers import make_rng
 
 def test_two_ball_fitness_at_first_center():
     sp = build_two_ball("Large", c1=(0.4, 0.5), c2=(0.6, 0.5))
-    f = sp.problem.fitness(np.array([0.4, 0.5]))
+    f = sp.fitness(np.array([0.4, 0.5]))
     np.testing.assert_allclose(f, [0.0, 0.2], atol=1e-15)
 
 
 def test_two_ball_midpoint_symmetry():
     sp = build_two_ball("Large", c1=(0.0, 0.5), c2=(1.0, 0.5), t1=0.4, t2=0.4)
-    f = sp.problem.fitness(np.array([0.5, 0.5]))
+    f = sp.fitness(np.array([0.5, 0.5]))
     np.testing.assert_allclose(f, [0.5, 0.5])
 
 
@@ -71,17 +72,17 @@ def test_two_region_inside_box_fails_all_variants():
     x = np.array([0.2, 0.6])  # inside box A
     for variant in ("Large", "Medium", "Small"):
         sp = build_two_region(variant)
-        f = sp.problem.fitness(x)
+        f = sp.fitness(x)
         assert f[0] == 0.0
-        assert sp.problem.oracle.mask(f)
+        assert sp.oracle.mask(f)
 
 
 def test_two_region_margin_grading():
     x = np.array([0.15 - 0.03, 0.6])  # 0.03 left of box A
     large = build_two_region("Large")
     medium = build_two_region("Medium")
-    assert large.problem.oracle.mask(large.problem.fitness(x))  # margin 0.05
-    assert not medium.problem.oracle.mask(medium.problem.fitness(x))  # margin 0.02
+    assert large.oracle.mask(large.fitness(x))  # margin 0.05
+    assert not medium.oracle.mask(medium.fitness(x))  # margin 0.02
 
 
 def test_two_region_failing_fraction_matches_area():
@@ -103,16 +104,16 @@ def test_two_region_rejects_overlapping_boxes():
 def test_avp_analog_target_point_fails_all():
     for variant in ("Large", "Medium", "Small"):
         sp = build_avp_analog(variant)
-        f = sp.problem.fitness(np.array([0.7, 0.3, 0.0]))
+        f = sp.fitness(np.array([0.7, 0.3, 0.0]))
         np.testing.assert_allclose(f, [0.0, -0.7], atol=1e-15)
-        assert sp.problem.oracle.mask(f)
+        assert sp.oracle.mask(f)
 
 
 def test_avp_analog_origin_passes_all():
     sp = build_avp_analog("Large")
-    f = sp.problem.fitness(np.zeros(3))
+    f = sp.fitness(np.zeros(3))
     np.testing.assert_allclose(f, [np.sqrt(0.58), 0.0])
-    assert not sp.problem.oracle.mask(f)
+    assert not sp.oracle.mask(f)
 
 
 def test_avp_analog_variant_fractions_monotone():
@@ -129,14 +130,14 @@ def test_avp_analog_variant_fractions_monotone():
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_membership_equals_oracle_of_fitness(name):
     sp = get_problem(name, "Medium")
-    space = sp.problem.space
+    space = sp.space
     points = make_rng(77).uniform(space.lows, space.highs, size=(10_000, space.dims))
-    member = sp.problem.oracle.mask(sp.fitness_batch(points))
+    member = sp.oracle.mask(sp.fitness_batch(points))
     for i in range(0, 10_000, 997):  # spot-check the one-vector path too
-        assert member[i] == sp.problem.oracle.mask(sp.problem.fitness(points[i]))
+        assert member[i] == sp.oracle.mask(sp.fitness(points[i]))
     fitness = sp.fitness_batch(points)
     expected = np.ones(len(points), dtype=bool)
-    for idx, threshold in sp.problem.oracle.clauses:
+    for idx, threshold in sp.oracle.clauses:
         expected &= fitness[:, idx] < threshold
     np.testing.assert_array_equal(member, expected)
 
@@ -146,10 +147,10 @@ def test_variant_nesting_on_random_points(name):
     small = get_problem(name, "Small")
     medium = get_problem(name, "Medium")
     large = get_problem(name, "Large")
-    space = small.problem.space
+    space = small.space
     points = make_rng(88).uniform(space.lows, space.highs, size=(5_000, space.dims))
     in_small, in_medium, in_large = (
-        sp.problem.oracle.mask(sp.fitness_batch(points)) for sp in (small, medium, large)
+        sp.oracle.mask(sp.fitness_batch(points)) for sp in (small, medium, large)
     )
     assert np.all(~in_small | in_medium)  # Small subset of Medium
     assert np.all(~in_medium | in_large)  # Medium subset of Large
@@ -158,7 +159,7 @@ def test_variant_nesting_on_random_points(name):
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_fitness_finite_and_deterministic(name):
     sp = get_problem(name)
-    space = sp.problem.space
+    space = sp.space
     points = make_rng(99).uniform(space.lows, space.highs, size=(100, space.dims))
     f1 = sp.fitness_batch(points)
     f2 = sp.fitness_batch(points)
@@ -183,7 +184,7 @@ def test_doi_volume_empty_region():
     ],
 )
 def test_oracle_label_is_custom_for_custom_thresholds(name, variant, params, label):
-    assert get_problem(name, variant, **params).problem.oracle.variant_label == label
+    assert get_problem(name, variant, **params).oracle.variant_label == label
 
 
 def test_get_problem_unknown_name():
@@ -197,5 +198,32 @@ def test_dominates_consistency_with_batch():
     pts = make_rng(5).uniform(0, 1, size=(20, 3))
     batch = sp.fitness_batch(pts)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(sp.problem.fitness(p), batch[i])
+        assert (sp.fitness(p) == batch[i]).all()
     assert dominates(batch[0] - 1.0, batch[0])
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("two_ball", {}),
+        ("two_ball", {"c1": (0.3, 0.4), "c2": (0.7, 0.65), "t1": 0.35, "t2": 0.3}),
+        ("two_region", {}),
+        ("two_region", {"boxes": (((0.1, 0.1), (0.3, 0.4)), ((0.5, 0.6), (0.9, 0.8))),
+                        "margin": 0.03}),
+        ("avp_analog", {}),
+    ],
+)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_point_fitness_equals_batch_row(name, params, variant):
+    problem = get_problem(name, variant, **params)
+    space = problem.space
+    points = np.concatenate([
+        make_rng(21).uniform(space.lows, space.highs, size=(200, space.dims)),
+        space.lows[None, :], space.highs[None, :], space.center[None, :],
+    ])
+    batch = problem.fitness_batch(points)
+    assert batch.shape == (len(points), problem.objective_count)
+    for i, x in enumerate(points):
+        f = problem.fitness(x)
+        assert f.shape == (problem.objective_count,)
+        assert (f == batch[i]).all()

@@ -220,6 +220,27 @@ def test_unknown_strategy_rejected():
         sample_by_name(unit_box(2), "sobol", {})
 
 
+@pytest.mark.parametrize(
+    "strategy, params, key",
+    [
+        ("grid", {"k": 16.5}, "k"),
+        ("uniform", {"n": 25, "seed": "3"}, "seed"),
+        ("fps", {"n": 10.0}, "n"),
+        ("poisson", {"r": "0.1"}, "r"),
+        ("poisson", {"r": 0.4, "attempts_per_point": 30.0}, "attempts_per_point"),
+    ],
+)
+def test_sample_by_name_checks_parameter_types(strategy, params, key):
+    with pytest.raises(ValueError, match=f"{strategy} sampler parameter {key} must be"):
+        sample_by_name(unit_box(2), strategy, params)
+
+
+def test_sample_by_name_accepts_numpy_integers_and_integral_r():
+    batch = sample_by_name(unit_box(2), "grid", {"k": np.int64(3)})
+    assert len(batch) == 9
+    assert len(sample_by_name(unit_box(2), "poisson", {"r": 1, "seed": np.uint8(2)})) == 1
+
+
 def test_make_rng_substreams_differ():
     a = make_rng(1).random(4)
     b = make_rng(1, 1).random(4)
