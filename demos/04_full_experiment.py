@@ -33,15 +33,16 @@ config = parse_config({
     "cid": {"p": 2, "q": 1, "interval": 250},
 })
 
-out_dir = Path(tempfile.mkdtemp(prefix="failcover-demo-"))
-result = run_experiment(config, out_dir)
-print(f"executed {len(result.runs)} runs into {out_dir}\n")
+with tempfile.TemporaryDirectory(prefix="failcover-demo-") as tmp:
+    out_dir = Path(tmp)
+    result = run_experiment(config, out_dir)
+    print(f"executed {len(result.runs)} runs into {out_dir}\n")
 
-rows = compare(out_dir, test="signedrank", alpha=0.05)
-for row in rows:
-    print(f"{row['pair']:18s} p={row['p_value']:.4g}  A12={row['a12']:.2f}  "
-          f"{row['magnitude']}{' *' if row['significant'] else ''}")
+    rows = compare(out_dir, test="signedrank", alpha=0.05)
+    for row in rows:
+        print(f"{row['pair']:18s} p={row['p_value']:.4g}  A12={row['a12']:.2f}  "
+              f"{row['magnitude']}{' *' if row['significant'] else ''}")
 
-report_path = emit_report(out_dir)
-print(f"\nreport written to {report_path}:\n")
-print(report_path.read_text())
+    report_path = emit_report(out_dir)
+    print(f"\nreport written to {report_path}:\n")
+    print(report_path.read_text())

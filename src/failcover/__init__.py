@@ -61,7 +61,6 @@ from .problems import (
     get_problem,
 )
 from .samplers import (
-    SampleBatch,
     fps_sample,
     grid_sample,
     lhs_sample,

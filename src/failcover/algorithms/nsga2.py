@@ -102,10 +102,11 @@ def crowding_distance(front_fitness: np.ndarray) -> np.ndarray:
     for m in range(f.shape[1]):
         order = np.argsort(f[:, m], kind="stable")
         values = f[order, m]
-        spread = values[-1] - values[0]
+        # Python floats: an all -inf column (empty nsga2d archive) gives nan unwarned.
+        spread = float(values[-1]) - float(values[0])
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
-        if spread == 0 or not np.isfinite(spread):
+        if spread == 0 or not math.isfinite(spread):
             continue
         gaps = (values[2:] - values[:-2]) / spread
         dist[order[1:-1]] += gaps
@@ -299,7 +300,7 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
     log = RunLog(problem, config.budget)
     space = problem.space
 
-    population = lhs_sample(space, config.population_size, rng).points
+    population = lhs_sample(space, config.population_size, rng)
     fitness = np.array([log.evaluate(x).fitness for x in population])
     ranks, crowding = rank_and_crowd(fitness)
 
@@ -355,7 +356,7 @@ def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> Ru
     def augmented(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
         return np.column_stack([fit, -novelty_distances(archive, pop)])
 
-    population = lhs_sample(space, config.population_size, rng).points
+    population = lhs_sample(space, config.population_size, rng)
     fitness = np.array([record(x, math.inf) for x in population])  # the archive is empty
     commit_failures()
     ranks, crowding = rank_and_crowd(augmented(population, fitness))

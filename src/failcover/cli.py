@@ -26,6 +26,7 @@ from .coverage import (
 )
 from .harness import ConfigError, compare, emit_report, load_config, run_experiment
 from .problems import CATALOG, VARIANTS, get_problem
+from .samplers import STRATEGIES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     refset = sub.add_parser("refset", help="build and persist a reference set")
     refset.add_argument("--problem", required=True, help="catalog problem name")
     refset.add_argument("--variant", default="Large", choices=VARIANTS)
-    refset.add_argument("--strategy", required=True,
-                        choices=("grid", "fps", "poisson", "lhs", "uniform"))
+    refset.add_argument("--strategy", required=True, choices=sorted(STRATEGIES))
     refset.add_argument("--params", default="{}",
                         help='sampler parameters as JSON, e.g. \'{"k": 64}\'')
     refset.add_argument("--out", required=True, help="output CSV path")

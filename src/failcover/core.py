@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import sys
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,6 +44,13 @@ def check_integer(name: str, value: object) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``bool`` is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_finite_real(name: str, value: object) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a non-bool real in float range."""
+    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 class BudgetExhausted(Exception):
@@ -83,10 +91,6 @@ class SearchSpace:
     @property
     def center(self) -> np.ndarray:
         return (self.lows + self.highs) / 2.0
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.widths))
 
     def contains(self, x: np.ndarray) -> bool:
         """True when ``x`` has the right dimensionality and lies inside the box."""

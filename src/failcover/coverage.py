@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import ProblemDefinition, RunHistory, SearchSpace, atomic_open
+from .core import ProblemDefinition, RunHistory, SearchSpace, atomic_open, check_finite_real
 from .samplers import grid_step_diagonal, make_rng, sample_by_name
 
 
@@ -47,16 +47,18 @@ class EmptyReferenceSetError(RuntimeError):
 
 @dataclass(frozen=True)
 class CidParams:
-    """Distance norm order ``p`` and aggregation order ``q``."""
+    """Distance norm order ``p`` and aggregation order ``q``, finite reals >= 1."""
 
     p: float = 2.0
     q: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"distance norm order must be >= 1, got {self.p}")
-        if self.q < 1:
-            raise ValueError(f"aggregation order must be >= 1, got {self.q}")
+        for name, label in (("p", "distance norm order"), ("q", "aggregation order")):
+            value = getattr(self, name)
+            check_finite_real(label, value)
+            if value < 1:
+                raise ValueError(f"{label} must be >= 1, got {value}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -232,13 +234,11 @@ def build_reference_set(
         if _sidecar_key(csv_path) == digest:
             return load_reference_set(csv_path)
 
-    batch = sample_by_name(problem.space, strategy, params)
-    failing = problem.oracle.mask(problem.fitness_batch(batch.points))
-    points = _dedupe_preserving_order(batch.points[failing])
+    sample = sample_by_name(problem.space, strategy, params)
+    failing = problem.oracle.mask(problem.fitness_batch(sample))
+    points = _dedupe_preserving_order(sample[failing])
     if len(points) == 0:
-        raise EmptyReferenceSetError(
-            problem.name, problem.oracle.variant_label, len(batch.points)
-        )
+        raise EmptyReferenceSetError(problem.name, problem.oracle.variant_label, len(sample))
 
     if strategy == "grid":
         r_star = grid_step_diagonal(problem.space, params["k"])
@@ -251,7 +251,7 @@ def build_reference_set(
         oracle_label=problem.oracle.variant_label,
         sampler_label=strategy,
         sampler_params=params,
-        total_sampled=len(batch.points),
+        total_sampled=len(sample),
         max_adjacent_distance=r_star,
     )
     if cache_dir is not None:
@@ -361,31 +361,21 @@ def load_reference_set(csv_path: str | Path) -> ReferenceSet:
     payload = csv_path.read_bytes()
     points = _parse_points_csv(payload, csv_path)
     sidecar_path = csv_path.with_suffix(".json")
-    if sidecar_path.exists():
-        meta = json.loads(sidecar_path.read_text())
-        expected = meta.get("content_hash")
-        if expected is not None and hashlib.sha256(payload).hexdigest() != expected:
-            raise ReferenceSetIntegrityError(
-                f"{csv_path}: content does not match the sidecar's content_hash; "
-                "the file was modified after it was written"
-            )
-        return ReferenceSet(
-            points=points,
-            problem_name=meta.get("problem", "unknown"),
-            oracle_label=meta.get("variant", "unknown"),
-            sampler_label=meta.get("sampler", "unknown"),
-            sampler_params=meta.get("params", {}),
-            total_sampled=int(meta.get("total_sampled", len(points))),
-            max_adjacent_distance=float(
-                meta.get("max_adjacent_distance", max_nearest_neighbor_distance(points))
-            ),
+    meta = json.loads(sidecar_path.read_text()) if sidecar_path.exists() else {}
+    expected = meta.get("content_hash")
+    if expected is not None and hashlib.sha256(payload).hexdigest() != expected:
+        raise ReferenceSetIntegrityError(
+            f"{csv_path}: content does not match the sidecar's content_hash; "
+            "the file was modified after it was written"
         )
     return ReferenceSet(
         points=points,
-        problem_name="unknown",
-        oracle_label="unknown",
-        sampler_label="unknown",
-        sampler_params={},
-        total_sampled=len(points),
-        max_adjacent_distance=max_nearest_neighbor_distance(points),
+        problem_name=meta.get("problem", "unknown"),
+        oracle_label=meta.get("variant", "unknown"),
+        sampler_label=meta.get("sampler", "unknown"),
+        sampler_params=meta.get("params", {}),
+        total_sampled=int(meta.get("total_sampled", len(points))),
+        max_adjacent_distance=float(
+            meta.get("max_adjacent_distance", max_nearest_neighbor_distance(points))
+        ),
     )

@@ -153,7 +153,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     problem_params = dict(problem.get("params", {}))
     try:
-        get_problem(problem_name, variant, **problem_params)
+        space = get_problem(problem_name, variant, **problem_params).space
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.problem.params: {exc}") from exc
 
@@ -206,17 +206,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         refset_spec = {"path": str(refset["path"])}
     else:
         strategy = _require(refset, "strategy", "config.refset")
-        refset_params = dict(refset.get("params", {}))
         try:
-            validate_sampler_params(strategy, refset_params)
-        except ValueError as exc:
+            refset_params = dict(refset.get("params", {}))
+            validate_sampler_params(strategy, refset_params, space)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.refset: {exc}") from exc
         refset_spec = {"strategy": strategy, "params": refset_params}
 
     cid_raw = raw.get("cid", {})
     _reject_unknown(cid_raw, {"p", "q", "interval"}, "config.cid")
     try:
-        cid_params = CidParams(p=float(cid_raw.get("p", 2.0)), q=float(cid_raw.get("q", 1.0)))
+        cid_params = CidParams(p=cid_raw.get("p", 2.0), q=cid_raw.get("q", 1.0))
     except ValueError as exc:
         raise ConfigError(f"config.cid: {exc}") from exc
     cid_interval = _integer(cid_raw, "interval", "config.cid", DEFAULT_CID_INTERVAL)
@@ -277,9 +277,6 @@ class ExperimentResult:
     runs: list[RunRecord]
     out_dir: Path
 
-    def final_cids(self, algorithm: str) -> list[float | None]:
-        return [r.final_cid for r in self.runs if r.algorithm == algorithm]
-
 
 def _format_value(value) -> str:
     if value is None:
@@ -299,14 +296,6 @@ def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_format_value(v) for v in row])
 
 
-def _resolve_refset(
-    config: ExperimentConfig, problem: ProblemDefinition, out_dir: Path
-) -> ReferenceSet:
-    if "path" in config.refset_spec:
-        return load_reference_set(config.refset_spec["path"])
-    return build_reference_set(problem, config.refset_spec, cache_dir=out_dir / "refsets")
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentResult:
     """Execute every (algorithm, repetition) run and write all result files.
 
@@ -317,7 +306,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = get_problem(config.problem_name, config.variant, **config.problem_params)
-    refset = _resolve_refset(config, problem, out_dir)
+    refset = (load_reference_set(config.refset_spec["path"]) if "path" in config.refset_spec
+              else build_reference_set(problem, config.refset_spec, cache_dir=out_dir / "refsets"))
 
     runs: list[RunRecord] = []
     for spec in config.algorithms:

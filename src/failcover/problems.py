@@ -242,5 +242,5 @@ def get_problem(name: str, variant: str = "Large", **params) -> ProblemDefinitio
 
 def doi_volume_estimate(problem: ProblemDefinition, k: int) -> float:
     """Fraction of the k-per-axis grid whose nodes fall in the failure region."""
-    batch = grid_sample(problem.space, k)
-    return float(np.mean(problem.oracle.mask(problem.fitness_batch(batch.points))))
+    points = grid_sample(problem.space, k)
+    return float(np.mean(problem.oracle.mask(problem.fitness_batch(points))))

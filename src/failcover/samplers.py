@@ -1,8 +1,9 @@
-"""Seeded point-generation strategies.
+"""Seeded point-generation strategies, each returning an ``(n, dims)`` array.
 
-Five strategies cover every sampling need in the package: ``grid`` and ``fps``
-and ``poisson`` build reference sets, ``lhs`` seeds evolutionary populations,
-and ``uniform`` drives random search. All randomized strategies consume a
+``grid``, ``fps`` and ``poisson`` build reference sets, ``lhs`` seeds
+evolutionary populations, and ``uniform`` drives random search. Each one's
+parameter check in :data:`STRATEGIES` runs in its sampler and, when a config
+is parsed, in :func:`validate_sampler_params`. Randomized strategies consume a
 PCG64 generator derived from an explicit integer seed, so identical seeds
 reproduce identical batches on the same numpy/BLAS build. Across builds the
 draws stay the same, but ``poisson`` and the grid step measure lengths with
@@ -13,12 +14,12 @@ that uses fused multiply-adds can round a length differently in the last bit.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SearchSpace, check_integer
+from .core import SearchSpace, check_finite_real, check_integer
 
 #: Default number of dart throws per active point in Poisson disc sampling.
 DEFAULT_POISSON_ATTEMPTS = 30
@@ -28,6 +29,10 @@ DEFAULT_POISSON_ATTEMPTS = 30
 FPS_POOL_PER_POINT = 50
 FPS_POOL_CAP = 100_000
 
+#: Most points a grid sample, or cells a Poisson background grid, may hold.
+#: Both are refused before anything is allocated.
+MAX_SAMPLER_CELLS = 10_000_000
+
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """PCG64 generator for ``seed``; extra integers select independent substreams."""
@@ -35,29 +40,32 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Points emitted by one sampler call, tagged with strategy provenance."""
-
-    points: np.ndarray
-    strategy_label: str
-    parameters: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.points)
+def _check_count(strategy: str, key: str, value: object, low: int) -> None:
+    name = f"{strategy} sampler parameter {key}"
+    check_integer(name, value)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
-def grid_sample(space: SearchSpace, k: int) -> SampleBatch:
+def _check_size(what: str, size: float) -> None:
+    if size > MAX_SAMPLER_CELLS:
+        raise ValueError(f"{what} would hold {size:,.0f} entries, above {MAX_SAMPLER_CELLS=:,}")
+
+
+def _check_grid(space: SearchSpace, k: int) -> None:
+    _check_count("grid", "k", k, 2)
+    _check_size(f"grid sampler: k**{space.dims}", int(k) ** space.dims)
+
+
+def grid_sample(space: SearchSpace, k: int) -> np.ndarray:
     """Axis-aligned lattice with ``k`` points per axis, endpoints included.
 
     Emits all ``k**dims`` nodes in row-major order (last axis varies fastest).
     """
-    if k < 2:
-        raise ValueError(f"grid needs at least 2 samples per axis, got {k}")
+    _check_grid(space, k)
     axes = [np.linspace(lo, hi, k) for lo, hi in space.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    return SampleBatch(points=points, strategy_label="grid", parameters={"k": int(k)})
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def grid_step_diagonal(space: SearchSpace, k: int) -> float:
@@ -66,30 +74,34 @@ def grid_step_diagonal(space: SearchSpace, k: int) -> float:
     return float(np.linalg.norm(steps))
 
 
-def lhs_sample(space: SearchSpace, n: int, rng: np.random.Generator) -> SampleBatch:
+def _check_n(strategy: str) -> Callable[..., None]:
+    """The check of a strategy whose one parameter is its sample count ``n``."""
+    return lambda space, n: _check_count(strategy, "n", n, 1)
+
+
+_check_lhs, _check_uniform = _check_n("lhs"), _check_n("uniform")
+
+
+def lhs_sample(space: SearchSpace, n: int, rng: np.random.Generator) -> np.ndarray:
     """Latin hypercube sample: one point per stratum on every axis.
 
     Each axis is cut into ``n`` equal strata; strata are permuted independently
     per axis and the point sits uniformly inside its stratum.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+    _check_lhs(space, n)
     dims = space.dims
     coords = np.empty((n, dims))
     for j in range(dims):
         strata = rng.permutation(n)
         offsets = rng.random(n)
         coords[:, j] = (strata + offsets) / n
-    points = space.lows + coords * space.widths
-    return SampleBatch(points=points, strategy_label="lhs", parameters={"n": int(n)})
+    return space.lows + coords * space.widths
 
 
-def uniform_sample(space: SearchSpace, n: int, rng: np.random.Generator) -> SampleBatch:
+def uniform_sample(space: SearchSpace, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` i.i.d. uniform points in the box."""
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
-    points = rng.uniform(space.lows, space.highs, size=(n, space.dims))
-    return SampleBatch(points=points, strategy_label="uniform", parameters={"n": int(n)})
+    _check_uniform(space, n)
+    return rng.uniform(space.lows, space.highs, size=(n, space.dims))
 
 
 def _sum_rows_pairwise(rows: np.ndarray) -> np.ndarray:
@@ -122,13 +134,19 @@ def _sum_rows_pairwise(rows: np.ndarray) -> np.ndarray:
     return rows[0]
 
 
+def _check_fps(space: SearchSpace, n: int, candidate_pool_size: int | None = None) -> None:
+    _check_count("fps", "n", n, 1)
+    if candidate_pool_size is not None:
+        _check_count("fps", "candidate_pool_size", candidate_pool_size, n)
+
+
 def fps_sample(
     space: SearchSpace,
     n: int,
     rng: np.random.Generator,
     candidate_pool_size: int | None = None,
     pool: np.ndarray | None = None,
-) -> SampleBatch:
+) -> np.ndarray:
     """Furthest point sampling: greedy maximin over a dense uniform candidate pool.
 
     The first point is the pool point closest to the box center (lowest pool
@@ -136,20 +154,13 @@ def fps_sample(
     to the points already selected. An explicit ``pool`` overrides the random
     pool, which is what reference-set experiments on structured pools use.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+    _check_fps(space, n, candidate_pool_size if pool is None else len(pool))
     if pool is None:
         if candidate_pool_size is None:
             candidate_pool_size = max(n, min(FPS_POOL_PER_POINT * space.dims * n, FPS_POOL_CAP))
-        if candidate_pool_size < n:
-            raise ValueError(
-                f"candidate pool ({candidate_pool_size}) must hold at least n={n} points"
-            )
         pool = rng.uniform(space.lows, space.highs, size=(candidate_pool_size, space.dims))
     else:
         pool = np.asarray(pool, dtype=float)
-        if len(pool) < n:
-            raise ValueError(f"explicit pool ({len(pool)}) must hold at least n={n} points")
 
     # The pool as contiguous columns: each distance pass runs d long
     # vectorised operations instead of n short row reductions.
@@ -169,11 +180,28 @@ def fps_sample(
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
         np.minimum(min_dist, distances_to(pool[nxt]), out=min_dist)
-    return SampleBatch(
-        points=pool[selected],
-        strategy_label="fps",
-        parameters={"n": int(n), "pool_size": int(len(pool))},
-    )
+    return pool[selected]
+
+
+def _poisson_grid(space: SearchSpace, r: float) -> tuple[float, int, np.ndarray]:
+    """Cell size, neighbour reach in cells, and padded shape of the background grid."""
+    cell = r / math.sqrt(space.dims)
+    # Neighbors within r span at most ceil(sqrt(dims)) cells along each axis.
+    reach = math.ceil(math.sqrt(space.dims))
+    # Points lie in [lows, highs], so no cell index exceeds that of highs;
+    # the padding keeps every neighbourhood slice inside the grid.
+    shape = (space.highs - space.lows) // cell + 1 + 2 * reach
+    return cell, reach, shape
+
+
+def _check_poisson(space: SearchSpace, r: float,
+                   attempts_per_point: int = DEFAULT_POISSON_ATTEMPTS) -> None:
+    check_finite_real("poisson sampler parameter r", r)
+    if r <= 0:
+        raise ValueError(f"poisson sampler parameter r must be positive, got {r}")
+    _check_count("poisson", "attempts_per_point", attempts_per_point, 1)
+    cells = math.prod(_poisson_grid(space, r)[2].tolist())
+    _check_size(f"poisson sampler: the background grid for r={r} in {space.dims}-D", cells)
 
 
 def poisson_disc_sample(
@@ -181,7 +209,7 @@ def poisson_disc_sample(
     r: float,
     rng: np.random.Generator,
     attempts_per_point: int = DEFAULT_POISSON_ATTEMPTS,
-) -> SampleBatch:
+) -> np.ndarray:
     """Bridson dart-throwing in ``dims`` dimensions with minimum distance ``r``.
 
     A dense background grid with cell size r/sqrt(dims) accelerates neighbor
@@ -194,24 +222,16 @@ def poisson_disc_sample(
     fits the box. The sampler stops once the active list empties, which
     guarantees every pairwise distance is at least ``r``.
     """
-    if r <= 0:
-        raise ValueError(f"minimum distance must be positive, got {r}")
-    if attempts_per_point < 1:
-        raise ValueError(f"attempts per point must be positive, got {attempts_per_point}")
-
+    _check_poisson(space, r, attempts_per_point)
     dims = space.dims
     lows, highs = space.lows, space.highs
-    cell = r / math.sqrt(dims)
-    # Neighbors within r span at most ceil(sqrt(dims)) cells along each axis.
-    reach = math.ceil(math.sqrt(dims))
+    cell, reach, shape = _poisson_grid(space, r)
 
     def cell_of(point: np.ndarray) -> np.ndarray:
         return ((point - lows) // cell).astype(np.intp)
 
     span = 2 * reach + 1
-    # Points lie in [lows, highs], so no cell index exceeds cell_of(highs);
-    # the padding keeps every neighbourhood slice inside the grid.
-    grid = np.full(tuple(cell_of(highs) + 1 + 2 * reach), -1, dtype=np.intp)
+    grid = np.full(tuple(shape.astype(np.intp)), -1, dtype=np.intp)
     points = np.empty((64, dims))
     count = 0
     active: list[int] = []
@@ -255,60 +275,54 @@ def poisson_disc_sample(
             active[slot] = active[-1]
             active.pop()
 
-    return SampleBatch(
-        points=points[:count].copy(),
-        strategy_label="poisson",
-        parameters={"r": float(r), "attempts_per_point": int(attempts_per_point)},
-    )
+    return points[:count].copy()
 
 
-#: Strategy name -> sampler, as selectable from experiment configs.
+@dataclass(frozen=True)
+class Strategy:
+    """A sampler, its required and optional config parameters, and its check."""
+
+    sample: Callable[..., np.ndarray]
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    seeded: bool  # the sampler takes ``rng``, so a config may give ``seed``
+    check: Callable[..., None]  # check(space, **params): ValueError on type, range or size
+
+
+#: Strategy name -> everything known about it, as selectable from experiment configs.
 STRATEGIES = {
-    "grid": grid_sample,
-    "lhs": lhs_sample,
-    "uniform": uniform_sample,
-    "fps": fps_sample,
-    "poisson": poisson_disc_sample,
-}
-
-_STRATEGY_KEYS = {
-    "grid": ({"k"}, {"k"}),
-    "lhs": ({"n"}, {"n", "seed"}),
-    "uniform": ({"n"}, {"n", "seed"}),
-    "fps": ({"n"}, {"n", "candidate_pool_size", "seed"}),
-    "poisson": ({"r"}, {"r", "attempts_per_point", "seed"}),
+    "grid": Strategy(grid_sample, ("k",), (), False, _check_grid),
+    "lhs": Strategy(lhs_sample, ("n",), (), True, _check_lhs),
+    "uniform": Strategy(uniform_sample, ("n",), (), True, _check_uniform),
+    "fps": Strategy(fps_sample, ("n",), ("candidate_pool_size",), True, _check_fps),
+    "poisson": Strategy(poisson_disc_sample, ("r",), ("attempts_per_point",), True,
+                        _check_poisson),
 }
 
 
-def validate_sampler_params(strategy: str, params: dict) -> None:
-    """Reject unknown, missing or mistyped sampler parameters for a config-named strategy."""
-    if strategy not in STRATEGIES:
+def validate_sampler_params(strategy: str, params: dict, space: SearchSpace) -> None:
+    """Raise ``ValueError`` unless ``params`` (with ``seed``) suit ``strategy`` on ``space``."""
+    if not isinstance(strategy, str) or strategy not in STRATEGIES:
         raise ValueError(
             f"unknown sampling strategy {strategy!r}, expected one of {sorted(STRATEGIES)}"
         )
-    required, allowed = _STRATEGY_KEYS[strategy]
-    unknown = set(params) - allowed
+    spec = STRATEGIES[strategy]
+    params = dict(params)
+    unknown = set(params).difference(spec.required, spec.optional, ["seed"] if spec.seeded else [])
     if unknown:
         raise ValueError(f"{strategy} sampler: unknown parameters {sorted(unknown)}")
-    missing = required - set(params)
+    missing = set(spec.required).difference(params)
     if missing:
         raise ValueError(f"{strategy} sampler: missing required parameters {sorted(missing)}")
-    for key, value in params.items():
-        name = f"{strategy} sampler parameter {key}"
-        if key != "r":
-            check_integer(name, value)
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    check_integer(f"{strategy} sampler parameter seed", params.pop("seed", 0))
+    spec.check(space, **params)
 
 
-def sample_by_name(
-    space: SearchSpace, strategy: str, params: dict, seed: int | None = None
-) -> SampleBatch:
+def sample_by_name(space: SearchSpace, strategy: str, params: dict) -> np.ndarray:
     """Dispatch a sampler by config name. Seeded strategies read ``seed`` (default 0)."""
+    validate_sampler_params(strategy, params, space)
+    spec = STRATEGIES[strategy]
     params = dict(params)
-    validate_sampler_params(strategy, params)
-    if strategy == "grid":
-        return grid_sample(space, **params)
-    seed = params.pop("seed", seed)
-    rng = make_rng(0 if seed is None else seed)
-    return STRATEGIES[strategy](space, rng=rng, **params)
+    if spec.seeded:
+        params["rng"] = make_rng(params.pop("seed", 0))
+    return spec.sample(space, **params)

@@ -214,7 +214,7 @@ def test_criterion_6_sampler_invariants():
 
     poisson_ok = True
     for s in range(20):
-        pts = fc.poisson_disc_sample(fc.unit_box(2), r=0.15, rng=make_rng(s)).points
+        pts = fc.poisson_disc_sample(fc.unit_box(2), r=0.15, rng=make_rng(s))
         for i in range(len(pts)):
             if np.any(np.linalg.norm(pts[i + 1 :] - pts[i], axis=1) < 0.15):
                 poisson_ok = False
@@ -223,12 +223,12 @@ def test_criterion_6_sampler_invariants():
     for dims, pool_size, n in ((2, 500, 16), (3, 300, 10)):
         space = fc.unit_box(dims)
         pool = make_rng(50 + dims).uniform(0, 1, size=(pool_size, dims))
-        got = fc.fps_sample(space, n, make_rng(0), pool=pool).points
+        got = fc.fps_sample(space, n, make_rng(0), pool=pool)
         want = brute_force_greedy_maximin(pool, n, space.center)
         if not np.array_equal(got, want):
             fps_ok = False
 
-    pts = fc.lhs_sample(fc.unit_box(3), 40, make_rng(4)).points
+    pts = fc.lhs_sample(fc.unit_box(3), 40, make_rng(4))
     lhs_ok = all(
         np.all(np.histogram(pts[:, axis], bins=40, range=(0, 1))[0] == 1) for axis in range(3)
     )

@@ -1,6 +1,8 @@
 """Algorithm machinery: sorting, crowding, variation operators, novelty archive,
 swarm mechanics, budget exactness, and seeded determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,18 @@ def test_nsga2d_novelty_recorded():
     hist = run_nsga2d(TWO_BALL, config, seed=9)
     assert all(ev.novelty is not None for ev in hist.evaluations)
     assert hist.evaluations[0].novelty == np.inf  # archive empty at first evaluation
+
+
+def test_nsga2d_empty_archive_crowding_emits_no_warning():
+    # The first generation's novelty column is all -inf; its crowding spread
+    # once raised numpy's "invalid value encountered in scalar subtract".
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_algorithm("nsga2d", get_problem("two_ball", "Small"), 400, 0)
+    front = np.array([[0.0, -np.inf], [1.0, -np.inf], [2.0, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(crowding_distance(front), [np.inf, 1.0, np.inf])
 
 
 def test_nsga2d_determinism():

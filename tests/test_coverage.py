@@ -153,6 +153,13 @@ def test_cid_params_validation():
         CidParams(p=0.5)
     with pytest.raises(ValueError, match="aggregation"):
         CidParams(q=0.0)
+    for bad in (float("nan"), float("inf"), True, "2"):
+        with pytest.raises(ValueError, match="norm order must be a finite real number"):
+            CidParams(p=bad)
+        with pytest.raises(ValueError, match="aggregation order must be a finite real number"):
+            CidParams(q=bad)
+    integral = CidParams(p=2, q=3)
+    assert (integral.p, integral.q) == (2.0, 3.0) and type(integral.p) is float
 
 
 def test_cid_accepts_reference_set_object(tmp_path):

@@ -10,6 +10,8 @@ import pytest
 
 from failcover import harness
 from failcover.cli import main as cli_main
+from failcover.problems import get_problem
+from failcover.samplers import STRATEGIES, make_rng, sample_by_name
 from failcover.harness import (
     ConfigError,
     compare,
@@ -154,6 +156,10 @@ def test_bad_refset_params_rejected_at_load():
         parse_config(make_config(refset={"strategy": "grid", "params": {"count": 10}}))
     with pytest.raises(ConfigError, match="config.refset.*missing"):
         parse_config(make_config(refset={"strategy": "poisson", "params": {}}))
+    with pytest.raises(ConfigError, match="config.refset: unknown sampling strategy"):
+        parse_config(make_config(refset={"strategy": ["grid"], "params": {"k": 8}}))
+    with pytest.raises(ConfigError, match="config.refset: "):
+        parse_config(make_config(refset={"strategy": "grid", "params": [["k", 8, 1]]}))
 
 
 @pytest.mark.parametrize("value", [150.7, "150", True, "abc", None])
@@ -189,6 +195,42 @@ def test_refset_sampler_params_have_their_types_checked_at_parse(strategy, param
 
 
 @pytest.mark.parametrize(
+    "strategy, params",
+    [
+        ("grid", {"k": 1}),
+        ("grid", {"k": True}),
+        ("grid", {"k": 10**6}),  # 10**12 points on two_ball, refused before allocating
+        ("grid", {"k": 8, "seed": 1}),
+        ("lhs", {"n": 0}),
+        ("fps", {"n": 20, "candidate_pool_size": 19}),
+        ("poisson", {"r": -1}),
+        ("poisson", {"r": float("nan")}),
+        ("poisson", {"r": float("inf")}),
+        ("poisson", {"r": 0.1, "attempts_per_point": 0}),
+    ],
+)
+def test_bad_refset_values_fail_at_parse_and_in_the_sampler(strategy, params):
+    with pytest.raises(ConfigError, match=r"config\.refset: "):
+        parse_config(make_config(refset={"strategy": strategy, "params": params}))
+    space = get_problem("two_ball", "Large").space
+    with pytest.raises(ValueError) as by_name:
+        sample_by_name(space, strategy, params)
+    if "seed" not in params:  # a config key, not a sampler argument
+        spec = STRATEGIES[strategy]
+        rng = {"rng": make_rng(0)} if spec.seeded else {}
+        with pytest.raises(ValueError) as direct:
+            spec.sample(space, **params, **rng)
+        assert str(direct.value) == str(by_name.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "2"])
+@pytest.mark.parametrize("field", ["p", "q"])
+def test_cid_orders_must_be_finite_reals(field, value):
+    with pytest.raises(ConfigError, match=r"config\.cid: .* must be a finite real number"):
+        parse_config(make_config(cid={field: value}))
+
+
+@pytest.mark.parametrize(
     "name, field, value",
     [
         ("rs", "batch_size", 2.5),
@@ -221,6 +263,7 @@ def test_algorithm_size_fields_must_be_integers(name, field, value):
             },
             "99f98f1cf48ff044c716802d5edbbfe01fbc646c8057602032a686a2abe33215",
         ),
+        ({"cid": {"p": 2}}, "9a9fe9da8c501a981143ae0ddcab8ea2a9bcdd389e97e8ca4f199180d9093d84"),
     ],
 )
 def test_integer_configs_keep_their_config_hash(overrides, digest):
@@ -564,6 +607,19 @@ def test_cli_refset_and_cid(tmp_path, capsys):
     assert cli_main(["cid", "--refset", str(refset_path), "--points", str(points_path)]) == 0
     value = float(capsys.readouterr().out.strip().splitlines()[-1])
     assert value > 0.0
+
+
+def test_cli_cid_rejects_non_finite_order(tmp_path):
+    refset_path = tmp_path / "ref.csv"
+    assert cli_main([
+        "refset", "--problem", "two_ball", "--strategy", "grid",
+        "--params", '{"k": 24}', "--out", str(refset_path),
+    ]) == 0
+    points_path = tmp_path / "pts.csv"
+    points_path.write_text("x1,x2\n0.5,0.5\n")
+    assert cli_main([
+        "cid", "--refset", str(refset_path), "--points", str(points_path), "--p", "nan",
+    ]) == 1
 
 
 def test_cli_run_compare_report(tmp_path, capsys):

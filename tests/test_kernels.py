@@ -153,14 +153,14 @@ SKEWED_BOX = SearchSpace(((-2.0, 3.0), (0.25, 0.75), (10.0, 11.5)))
 def test_poisson_matches_dict_grid_reference(space, radii, seed):
     for r in radii:
         rng_new, rng_ref = make_rng(seed, 7), make_rng(seed, 7)
-        got = poisson_disc_sample(space, r, rng_new).points
+        got = poisson_disc_sample(space, r, rng_new)
         want = dict_grid_poisson(space, r, rng_ref)
         assert_same_points_and_draws(got, rng_new, want, rng_ref)
 
 
 def test_poisson_radius_beyond_box_gives_one_point_like_reference():
     rng_new, rng_ref = make_rng(4), make_rng(4)
-    got = poisson_disc_sample(unit_box(3), 2.5, rng_new).points
+    got = poisson_disc_sample(unit_box(3), 2.5, rng_new)
     assert len(got) == 1
     assert_same_points_and_draws(got, rng_new, dict_grid_poisson(unit_box(3), 2.5, rng_ref),
                                  rng_ref)
@@ -168,7 +168,7 @@ def test_poisson_radius_beyond_box_gives_one_point_like_reference():
 
 def test_poisson_few_attempts_matches_reference():
     rng_new, rng_ref = make_rng(8), make_rng(8)
-    got = poisson_disc_sample(unit_box(2), 0.05, rng_new, attempts_per_point=2).points
+    got = poisson_disc_sample(unit_box(2), 0.05, rng_new, attempts_per_point=2)
     want = dict_grid_poisson(unit_box(2), 0.05, rng_ref, attempts_per_point=2)
     assert_same_points_and_draws(got, rng_new, want, rng_ref)
 
@@ -193,14 +193,14 @@ def test_column_sums_equal_numpy_row_norm_exactly(dims):
 def test_fps_random_pool_matches_loop_reference(dims, n):
     space = SearchSpace(tuple((-1.0 - j, 2.0 + 0.5 * j) for j in range(dims)))
     rng_new, rng_ref = make_rng(dims, n), make_rng(dims, n)
-    got = fps_sample(space, n, rng_new, candidate_pool_size=600).points
+    got = fps_sample(space, n, rng_new, candidate_pool_size=600)
     want = loop_fps(space, n, rng_ref, candidate_pool_size=600)
     assert_same_points_and_draws(got, rng_new, want, rng_ref)
 
 
 def test_fps_default_pool_matches_loop_reference():
     rng_new, rng_ref = make_rng(12), make_rng(12)
-    got = fps_sample(unit_box(3), 40, rng_new).points
+    got = fps_sample(unit_box(3), 40, rng_new)
     assert_same_points_and_draws(got, rng_new, loop_fps(unit_box(3), 40, rng_ref), rng_ref)
 
 
@@ -212,13 +212,13 @@ def test_fps_explicit_pool_with_ties_matches_loop_reference(dims):
     pool = rng.integers(0, 4, size=(300, dims)).astype(float)
     space = SearchSpace(tuple((0.0, 3.0) for _ in range(dims)))
     for n in (1, 5, 60):
-        got = fps_sample(space, n, make_rng(0), pool=pool).points
+        got = fps_sample(space, n, make_rng(0), pool=pool)
         assert np.array_equal(got, loop_fps(space, n, make_rng(0), pool=pool))
 
 
 def test_fps_explicit_pool_of_n_points_matches_loop_reference():
     pool = make_rng(3).uniform(0, 1, size=(7, 2))
-    got = fps_sample(unit_box(2), 7, make_rng(0), pool=pool).points
+    got = fps_sample(unit_box(2), 7, make_rng(0), pool=pool)
     assert np.array_equal(got, loop_fps(unit_box(2), 7, make_rng(0), pool=pool))
 
 
@@ -330,7 +330,7 @@ def fitness_probe_points(space: SearchSpace) -> np.ndarray:
     """Random points, every box corner and every node of a 33-per-axis grid."""
     random = make_rng(11).uniform(space.lows, space.highs, size=(20_000, space.dims))
     corners = np.array(list(product(*space.bounds)))
-    return np.concatenate([random, corners, grid_sample(space, 33).points])
+    return np.concatenate([random, corners, grid_sample(space, 33)])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -14,6 +14,7 @@ from failcover.samplers import (
     poisson_disc_sample,
     sample_by_name,
     uniform_sample,
+    validate_sampler_params,
 )
 
 
@@ -35,8 +36,7 @@ def brute_force_fps(pool: np.ndarray, n: int, center: np.ndarray) -> np.ndarray:
 
 
 def test_grid_1d_endpoints():
-    batch = grid_sample(unit_box(1), k=3)
-    np.testing.assert_allclose(batch.points.ravel(), [0.0, 0.5, 1.0])
+    np.testing.assert_allclose(grid_sample(unit_box(1), k=3).ravel(), [0.0, 0.5, 1.0])
 
 
 def test_grid_count_is_k_pow_n():
@@ -45,13 +45,13 @@ def test_grid_count_is_k_pow_n():
 
 
 def test_grid_min_axis_step():
-    pts = grid_sample(unit_box(2), k=10).points
+    pts = grid_sample(unit_box(2), k=10)
     xs = np.unique(pts[:, 0])
     np.testing.assert_allclose(np.diff(xs).min(), 1.0 / 9.0)
 
 
 def test_grid_row_major_order():
-    pts = grid_sample(unit_box(2), k=2).points
+    pts = grid_sample(unit_box(2), k=2)
     np.testing.assert_allclose(pts, [[0, 0], [0, 1], [1, 0], [1, 1]])
 
 
@@ -71,28 +71,28 @@ def test_grid_step_diagonal():
 
 def test_lhs_single_point_in_box():
     space = SearchSpace(((2.0, 3.0), (-1.0, 0.0)))
-    pts = lhs_sample(space, 1, make_rng(1)).points
+    pts = lhs_sample(space, 1, make_rng(1))
     assert pts.shape == (1, 2)
     assert space.contains(pts[0])
 
 
 def test_lhs_1d_stratification():
-    pts = lhs_sample(unit_box(1), 4, make_rng(2)).points.ravel()
+    pts = lhs_sample(unit_box(1), 4, make_rng(2)).ravel()
     occupied = sorted(int(v * 4) for v in pts)
     assert occupied == [0, 1, 2, 3]
 
 
 def test_lhs_per_axis_occupancy_exactly_one():
     n = 40
-    pts = lhs_sample(unit_box(3), n, make_rng(3)).points
+    pts = lhs_sample(unit_box(3), n, make_rng(3))
     for axis in range(3):
         counts = np.histogram(pts[:, axis], bins=n, range=(0.0, 1.0))[0]
         assert np.all(counts == 1)
 
 
 def test_lhs_determinism():
-    a = lhs_sample(unit_box(2), 16, make_rng(7)).points
-    b = lhs_sample(unit_box(2), 16, make_rng(7)).points
+    a = lhs_sample(unit_box(2), 16, make_rng(7))
+    b = lhs_sample(unit_box(2), 16, make_rng(7))
     np.testing.assert_array_equal(a, b)
 
 
@@ -102,33 +102,33 @@ def test_lhs_determinism():
 def test_fps_first_point_nearest_center():
     space = unit_box(2)
     pool = make_rng(11).uniform(0, 1, size=(200, 2))
-    batch = fps_sample(space, 1, make_rng(0), pool=pool)
+    pts = fps_sample(space, 1, make_rng(0), pool=pool)
     expected = pool[np.argmin(np.linalg.norm(pool - 0.5, axis=1))]
-    np.testing.assert_array_equal(batch.points[0], expected)
+    np.testing.assert_array_equal(pts[0], expected)
 
 
 def test_fps_second_point_is_corner_on_grid_pool():
     space = unit_box(2)
-    pool = grid_sample(space, 11).points
-    batch = fps_sample(space, 2, make_rng(0), pool=pool)
-    np.testing.assert_allclose(batch.points[0], [0.5, 0.5])
+    pool = grid_sample(space, 11)
+    pts = fps_sample(space, 2, make_rng(0), pool=pool)
+    np.testing.assert_allclose(pts[0], [0.5, 0.5])
     corners = {(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)}
-    assert tuple(batch.points[1]) in corners
+    assert tuple(pts[1]) in corners
 
 
 @pytest.mark.parametrize("dims, pool_size, n", [(1, 50, 6), (2, 200, 12), (3, 400, 9)])
 def test_fps_matches_brute_force_oracle(dims, pool_size, n):
     space = unit_box(dims)
     pool = make_rng(100 + dims).uniform(0, 1, size=(pool_size, dims))
-    got = fps_sample(space, n, make_rng(0), pool=pool).points
+    got = fps_sample(space, n, make_rng(0), pool=pool)
     want = brute_force_fps(pool, n, space.center)
     np.testing.assert_array_equal(got, want)
 
 
 def test_fps_random_pool_determinism_and_bounds():
     space = SearchSpace(((0.0, 2.0), (1.0, 4.0)))
-    a = fps_sample(space, 20, make_rng(5), candidate_pool_size=500).points
-    b = fps_sample(space, 20, make_rng(5), candidate_pool_size=500).points
+    a = fps_sample(space, 20, make_rng(5), candidate_pool_size=500)
+    b = fps_sample(space, 20, make_rng(5), candidate_pool_size=500)
     np.testing.assert_array_equal(a, b)
     assert all(space.contains(p) for p in a)
 
@@ -142,14 +142,12 @@ def test_fps_pool_must_cover_n():
 
 
 def test_poisson_oversized_radius_single_point():
-    batch = poisson_disc_sample(unit_box(2), r=5.0, rng=make_rng(1))
-    assert len(batch) == 1
+    assert len(poisson_disc_sample(unit_box(2), r=5.0, rng=make_rng(1))) == 1
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3])
 def test_poisson_min_distance_invariant(dims):
-    batch = poisson_disc_sample(unit_box(dims), r=0.25, rng=make_rng(dims))
-    pts = batch.points
+    pts = poisson_disc_sample(unit_box(dims), r=0.25, rng=make_rng(dims))
     for i in range(len(pts)):
         d = np.linalg.norm(pts[i + 1 :] - pts[i], axis=1)
         assert np.all(d >= 0.25)
@@ -162,8 +160,8 @@ def test_poisson_count_envelope_2d():
 
 
 def test_poisson_determinism():
-    a = poisson_disc_sample(unit_box(2), r=0.2, rng=make_rng(9)).points
-    b = poisson_disc_sample(unit_box(2), r=0.2, rng=make_rng(9)).points
+    a = poisson_disc_sample(unit_box(2), r=0.2, rng=make_rng(9))
+    b = poisson_disc_sample(unit_box(2), r=0.2, rng=make_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
@@ -179,18 +177,18 @@ def test_poisson_rejects_bad_params():
 
 def test_uniform_thin_axis():
     space = SearchSpace(((0.0, 1e-12), (0.0, 1.0)))
-    pts = uniform_sample(space, 50, make_rng(4)).points
+    pts = uniform_sample(space, 50, make_rng(4))
     assert np.all(np.abs(pts[:, 0]) <= 1e-12)
 
 
 def test_uniform_mean_near_center():
-    pts = uniform_sample(unit_box(1), 1000, make_rng(8)).points
+    pts = uniform_sample(unit_box(1), 1000, make_rng(8))
     assert abs(pts.mean() - 0.5) < 0.05  # 3 sigma of U[0,1] sample mean
 
 
 def test_uniform_determinism():
-    a = uniform_sample(unit_box(3), 64, make_rng(12)).points
-    b = uniform_sample(unit_box(3), 64, make_rng(12)).points
+    a = uniform_sample(unit_box(3), 64, make_rng(12))
+    b = uniform_sample(unit_box(3), 64, make_rng(12))
     np.testing.assert_array_equal(a, b)
 
 
@@ -209,15 +207,16 @@ def test_uniform_determinism():
 )
 def test_all_strategies_in_bounds(strategy, params):
     space = SearchSpace(((-1.0, 2.0), (0.5, 0.75)))
-    batch = sample_by_name(space, strategy, params)
-    assert len(batch) >= 1
-    assert all(space.contains(p) for p in batch.points)
-    assert batch.strategy_label == strategy
+    pts = sample_by_name(space, strategy, params)
+    assert len(pts) >= 1
+    assert all(space.contains(p) for p in pts)
 
 
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError, match="unknown sampling strategy"):
         sample_by_name(unit_box(2), "sobol", {})
+    with pytest.raises(ValueError, match="unknown sampling strategy"):
+        sample_by_name(unit_box(2), ["grid"], {"k": 8})
 
 
 @pytest.mark.parametrize(
@@ -236,9 +235,20 @@ def test_sample_by_name_checks_parameter_types(strategy, params, key):
 
 
 def test_sample_by_name_accepts_numpy_integers_and_integral_r():
-    batch = sample_by_name(unit_box(2), "grid", {"k": np.int64(3)})
-    assert len(batch) == 9
+    assert len(sample_by_name(unit_box(2), "grid", {"k": np.int64(3)})) == 9
     assert len(sample_by_name(unit_box(2), "poisson", {"r": 1, "seed": np.uint8(2)})) == 1
+
+
+def test_size_guard_refuses_before_allocating():
+    # Sizes computed, never allocated: 16**8 intp cells (32 GiB) for Poisson
+    # at d=8 and r=0.3, and 1001**2 grid points just above the limit.
+    with pytest.raises(ValueError, match=r"would hold 4,294,967,296 entries, above MAX_SAMPLER_CELLS"):
+        poisson_disc_sample(unit_box(8), r=0.3, rng=make_rng(0))
+    with pytest.raises(ValueError, match="4,294,967,296"):
+        validate_sampler_params("poisson", {"r": 0.3}, unit_box(8))
+    with pytest.raises(ValueError, match=r"grid sampler: k\*\*2 would hold 10,004,569 entries"):
+        validate_sampler_params("grid", {"k": 3163}, unit_box(2))
+    validate_sampler_params("grid", {"k": 3162}, unit_box(2))
 
 
 def test_make_rng_substreams_differ():
