@@ -14,7 +14,6 @@ from .algorithms import (
     RandomSearchConfig,
     run_algorithm,
     run_nsga2,
-    run_nsga2d,
     run_omopso,
     run_random_search,
 )

@@ -3,7 +3,9 @@
 Four algorithms produce :class:`~failcover.core.RunHistory` logs: random
 search (``rs``), NSGA-II (``nsga2``), diversified NSGA-II with a novelty
 archive and repopulation (``nsga2d``), and the swarm-based ``omopso``.
-:data:`REGISTRY` is the one table of what each accepts, keyed by config name.
+``nsga2`` and ``nsga2d`` share one runner, :func:`run_nsga2`, which
+diversifies when its config is an :class:`NsgaDConfig`. :data:`REGISTRY` is
+the one table of what each accepts, keyed by config name.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .nsga2 import (
     novelty_distances,
     polynomial_mutation,
     run_nsga2,
-    run_nsga2d,
     sbx_crossover,
 )
 from .omopso import (
@@ -61,7 +62,7 @@ REGISTRY: dict[str, Algorithm] = {
                     {"avp": {"batch_size": 40}, "mnist": {"batch_size": 20}}),
     "nsga2": Algorithm(Nsga2Config, run_nsga2, "population_size",
                        {"avp": {"population_size": 40}, "mnist": {"population_size": 20}}),
-    "nsga2d": Algorithm(NsgaDConfig, run_nsga2d, "population_size", {
+    "nsga2d": Algorithm(NsgaDConfig, run_nsga2, "population_size", {
         "avp": {"population_size": 40, "archive_threshold": 0.29},
         "mnist": {"population_size": 20, "archive_threshold": 1.77},
     }),
@@ -114,7 +115,6 @@ __all__ = [
     "reflect_boundary",
     "run_algorithm",
     "run_nsga2",
-    "run_nsga2d",
     "run_omopso",
     "run_random_search",
     "sbx_crossover",

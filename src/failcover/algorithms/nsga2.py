@@ -1,9 +1,10 @@
-"""NSGA-II and its diversified variant.
+"""NSGA-II, plain and diversified, in one generation loop.
 
-The diversified variant (``nsga2d``) extends plain NSGA-II with an archive of
-previously found failures, a novelty objective (distance to the nearest
-archived failure, maximized), and a repopulation step that swaps the most
-dominated survivors for fresh uniform samples each generation.
+:func:`run_nsga2` runs both. An :class:`NsgaDConfig` makes it the diversified
+variant (``nsga2d``): plain NSGA-II plus an archive of previously found
+failures, a novelty objective (distance to the nearest archived failure,
+maximized), and a repopulation step that swaps the most dominated survivors
+for fresh uniform samples each generation.
 """
 
 from __future__ import annotations
@@ -124,20 +125,30 @@ def rank_and_crowd(fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, crowd
 
 
-def environmental_selection(fitness: np.ndarray, mu: int) -> list[int]:
-    """Standard NSGA-II truncation: whole fronts, then crowding inside the split front."""
+def environmental_selection(
+    fitness: np.ndarray, mu: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Standard NSGA-II truncation: whole fronts, then crowding inside the split front.
+
+    Returns the survivors with their ranks and crowding distances, equal bit
+    for bit to ``rank_and_crowd(fitness[survivors])``: the fronts kept whole
+    keep their ranks, and each kept front's crowding is measured in survivor
+    order.
+    """
     chosen: list[int] = []
-    for front in fast_nondominated_sort(fitness):
-        if len(chosen) + len(front) <= mu:
-            chosen.extend(front)
-            if len(chosen) == mu:
-                break
-            continue
-        crowd = crowding_distance(fitness[front])
-        order = np.argsort(-crowd, kind="stable")
-        chosen.extend(front[i] for i in order[: mu - len(chosen)])
-        break
-    return chosen
+    ranks: list[int] = []
+    crowding: list[np.ndarray] = []
+    for rank, front in enumerate(fast_nondominated_sort(fitness)):
+        room = mu - len(chosen)
+        if len(front) > room:
+            order = np.argsort(-crowding_distance(fitness[front]), kind="stable")
+            front = [front[i] for i in order[:room]]
+        chosen.extend(front)
+        ranks.extend([rank] * len(front))
+        crowding.append(crowding_distance(fitness[front]))
+        if len(chosen) == mu:
+            break
+    return chosen, np.array(ranks), np.concatenate(crowding)
 
 
 def binary_tournament(
@@ -295,105 +306,72 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
 
     Emits exactly ``config.budget`` evaluations; a final partial generation is
     truncated once the budget runs out.
+
+    An :class:`NsgaDConfig` turns on diversification (``nsga2d``). Selection
+    and sorting then see an extra minimized objective, minus the distance to
+    the nearest archived failure, which each evaluation logs as its
+    ``novelty``. The archive holds failures from *previous* generations only:
+    each generation's failures are offered at its end, in evaluation order, so
+    a fresh failure is never measured against itself. After each selection the
+    most dominated survivors (worst front first, lowest crowding first) are
+    replaced by fresh uniform samples.
     """
     rng = make_rng(seed)
     log = RunLog(problem, config.budget)
     space = problem.space
-
-    population = lhs_sample(space, config.population_size, rng)
-    fitness = np.array([log.evaluate(x).fitness for x in population])
-    ranks, crowding = rank_and_crowd(fitness)
-
-    while log.remaining > 0:
-        log.generation += 1
-        offspring = _make_offspring(space, population, ranks, crowding, config, rng)
-        evaluated: list[np.ndarray] = []
-        child_fitness: list[np.ndarray] = []
-        for child in offspring:
-            if log.remaining <= 0:
-                break
-            evaluated.append(child)
-            child_fitness.append(log.evaluate(child).fitness)
-        combined = np.concatenate([population, np.array(evaluated)])
-        combined_fitness = np.concatenate([fitness, np.array(child_fitness)])
-        survivors = environmental_selection(combined_fitness, config.population_size)
-        population = combined[survivors]
-        fitness = combined_fitness[survivors]
-        ranks, crowding = rank_and_crowd(fitness)
-
-    return log.history("nsga2", seed)
-
-
-def run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> RunHistory:
-    """Diversified NSGA-II: novelty objective, failure archive, repopulation.
-
-    Selection and sorting see an extra minimized objective, minus the distance
-    to the nearest archived failure. The archive holds failures from *previous*
-    generations only: each generation's failures are offered at its end, in
-    evaluation order, so a fresh failure is never measured against itself.
-    After each selection the most dominated survivors (worst front first,
-    lowest crowding first) are replaced by fresh uniform samples.
-    """
-    rng = make_rng(seed)
-    log = RunLog(problem, config.budget)
-    space = problem.space
-    archive = NoveltyArchive(threshold=config.archive_threshold)
-    n_replace = math.ceil(config.repopulation_fraction * config.population_size)
+    mu = config.population_size
+    diversified = isinstance(config, NsgaDConfig)
+    if diversified:
+        archive = NoveltyArchive(threshold=config.archive_threshold)
+        n_replace = math.ceil(config.repopulation_fraction * mu)
     pending_failures: list[np.ndarray] = []
 
-    def record(x: np.ndarray, novelty: float) -> np.ndarray:
-        ev = log.evaluate(x)
-        ev.novelty = float(novelty)
-        if ev.failed:
-            pending_failures.append(ev.input)
-        return ev.fitness
+    def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate the rows of ``X`` the budget still covers; return them and their fitness."""
+        X = X[: log.remaining]
+        # The archive changes only in commit_failures, so one query serves the batch.
+        novelty = novelty_distances(archive, X) if diversified else None
+        fitness = np.empty((len(X), problem.objective_count))
+        for i, x in enumerate(X):
+            ev = log.evaluate(x)
+            fitness[i] = ev.fitness
+            if diversified:
+                ev.novelty = float(novelty[i])
+                if ev.failed:
+                    pending_failures.append(ev.input)
+        return X, fitness
 
     def commit_failures() -> None:
         for failure in pending_failures:
             archive_insert(archive, failure)
         pending_failures.clear()
 
-    def augmented(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        return np.column_stack([fit, -novelty_distances(archive, pop)])
+    def objectives(X: np.ndarray, F: np.ndarray) -> np.ndarray:
+        return np.column_stack([F, -novelty_distances(archive, X)]) if diversified else F
 
-    population = lhs_sample(space, config.population_size, rng)
-    fitness = np.array([record(x, math.inf) for x in population])  # the archive is empty
+    population, fitness = evaluate(lhs_sample(space, mu, rng))
     commit_failures()
-    ranks, crowding = rank_and_crowd(augmented(population, fitness))
+    ranks, crowding = rank_and_crowd(objectives(population, fitness))
 
     while log.remaining > 0:
         log.generation += 1
-        offspring = _make_offspring(space, population, ranks, crowding, config, rng)
-        # The archive changes only in commit_failures, so one query serves the batch.
-        offspring_novelty = novelty_distances(archive, np.array(offspring))
-        evaluated: list[np.ndarray] = []
-        child_fitness: list[np.ndarray] = []
-        for child, novelty in zip(offspring, offspring_novelty):
-            if log.remaining <= 0:
-                break
-            evaluated.append(child)
-            child_fitness.append(record(child, novelty))
-        combined = np.concatenate([population, np.array(evaluated)])
-        combined_fitness = np.concatenate([fitness, np.array(child_fitness)])
-        survivors = environmental_selection(augmented(combined, combined_fitness),
-                                            config.population_size)
+        offspring = np.array(_make_offspring(space, population, ranks, crowding, config, rng))
+        offspring, child_fitness = evaluate(offspring)
+        combined = np.concatenate([population, offspring])
+        combined_fitness = np.concatenate([fitness, child_fitness])
+        survivors, ranks, crowding = environmental_selection(
+            objectives(combined, combined_fitness), mu
+        )
         population = combined[survivors]
         fitness = combined_fitness[survivors]
 
-        # Repopulation: victims ordered worst front first, least crowded first.
-        if log.remaining > 0:
-            ranks, crowding = rank_and_crowd(augmented(population, fitness))
-            victim_order = sorted(
-                range(len(population)), key=lambda i: (-ranks[i], crowding[i], i)
-            )
-            for i in victim_order[:n_replace]:
-                if log.remaining <= 0:
-                    break
-                fresh = rng.uniform(space.lows, space.highs)
-                population[i] = fresh
-                fitness[i] = record(fresh, novelty_distance(archive, fresh))
+        if diversified and log.remaining > 0:
+            # Repopulation: victims ordered worst front first, least crowded first,
+            # by the selection's ranks (the archive has not changed since).
+            victims = np.lexsort((crowding, -ranks))[: min(n_replace, log.remaining)]
+            fresh = rng.uniform(space.lows, space.highs, size=(len(victims), space.dims))
+            population[victims], fitness[victims] = evaluate(fresh)
+            commit_failures()
+            ranks, crowding = rank_and_crowd(objectives(population, fitness))
 
-        commit_failures()
-        ranks, crowding = rank_and_crowd(augmented(population, fitness))
-
-    return log.history("nsga2d", seed)
+    return log.history("nsga2d" if diversified else "nsga2", seed)

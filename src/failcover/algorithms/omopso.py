@@ -9,7 +9,6 @@ thirds by particle index: uniform turbulence, non-uniform turbulence, none.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,17 +179,8 @@ def _nonuniform_turbulence(
     return space.clip(y)
 
 
-def run_omopso(
-    problem: ProblemDefinition,
-    config: OmopsoConfig,
-    seed: int,
-    archive_monitor: Callable[[np.ndarray], None] | None = None,
-) -> RunHistory:
-    """Swarm search with a crowding-distance leader archive.
-
-    ``archive_monitor`` (tests only) receives the archive fitness matrix after
-    the initial pass and after every swarm step.
-    """
+def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> RunHistory:
+    """Swarm search with a crowding-distance leader archive."""
     rng = make_rng(seed)
     log = RunLog(problem, config.budget)
     space = problem.space
@@ -205,8 +195,6 @@ def run_omopso(
     archive = LeaderArchive(config.effective_archive_size)
     for i in range(swarm):
         archive.add(positions[i], fitness[i])
-    if archive_monitor is not None:
-        archive_monitor(archive.fitness)
 
     while log.remaining > 0:
         log.generation += 1
@@ -250,7 +238,5 @@ def run_omopso(
                 pbest_pos[i] = positions[i].copy()
                 pbest_fit[i] = ev.fitness.copy()
             archive.add(positions[i], ev.fitness)
-        if archive_monitor is not None:
-            archive_monitor(archive.fitness)
 
     return log.history("omopso", seed)

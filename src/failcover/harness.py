@@ -121,16 +121,21 @@ def _integer(mapping: dict, key: str, path: str, default: int | None = None) -> 
     return int(value)
 
 
+def _mapping(value: object, path: str) -> dict:
+    """``value`` itself; ``ConfigError`` naming ``path`` unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {value!r}")
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = set(mapping) - allowed
+    unknown = set(_mapping(mapping, path)) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config mapping, fill defaults, reject unknown keys."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
     _reject_unknown(
         raw,
         {"problem", "algorithms", "budget", "repetitions", "base_seed", "refset", "cid",
@@ -151,7 +156,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"config.problem.variant: unknown variant {variant!r}, expected one of {VARIANTS}"
         )
-    problem_params = dict(problem.get("params", {}))
+    problem_params = dict(_mapping(problem.get("params", {}), "config.problem.params"))
     try:
         space = get_problem(problem_name, variant, **problem_params).space
     except (TypeError, ValueError) as exc:
@@ -177,12 +182,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         params: dict = {}
         if "preset" in entry:
             preset = entry["preset"]
-            if preset not in presets:
+            if not isinstance(preset, str) or preset not in presets:
                 raise ConfigError(
                     f"{path}.preset: unknown preset {preset!r}, expected one of {sorted(presets)}"
                 )
             params.update(presets[preset])
-        params.update(entry.get("params", {}))
+        params.update(_mapping(entry.get("params", {}), f"{path}.params"))
         try:
             config = make_config(name, budget, params)
         except (TypeError, ValueError) as exc:

@@ -29,8 +29,9 @@ DEFAULT_POISSON_ATTEMPTS = 30
 FPS_POOL_PER_POINT = 50
 FPS_POOL_CAP = 100_000
 
-#: Most points a grid sample, or cells a Poisson background grid, may hold.
-#: Both are refused before anything is allocated.
+#: Most points a sample or an fps candidate pool, or cells a Poisson
+#: background grid, may hold. Larger requests are refused before anything is
+#: allocated.
 MAX_SAMPLER_CELLS = 10_000_000
 
 
@@ -76,7 +77,12 @@ def grid_step_diagonal(space: SearchSpace, k: int) -> float:
 
 def _check_n(strategy: str) -> Callable[..., None]:
     """The check of a strategy whose one parameter is its sample count ``n``."""
-    return lambda space, n: _check_count(strategy, "n", n, 1)
+
+    def check(space: SearchSpace, n: int) -> None:
+        _check_count(strategy, "n", n, 1)
+        _check_size(f"{strategy} sampler: n", n)
+
+    return check
 
 
 _check_lhs, _check_uniform = _check_n("lhs"), _check_n("uniform")
@@ -134,10 +140,17 @@ def _sum_rows_pairwise(rows: np.ndarray) -> np.ndarray:
     return rows[0]
 
 
+def _fps_pool_size(space: SearchSpace, n: int, candidate_pool_size: int | None) -> int:
+    if candidate_pool_size is None:
+        return max(n, min(FPS_POOL_PER_POINT * space.dims * n, FPS_POOL_CAP))
+    return candidate_pool_size
+
+
 def _check_fps(space: SearchSpace, n: int, candidate_pool_size: int | None = None) -> None:
     _check_count("fps", "n", n, 1)
     if candidate_pool_size is not None:
         _check_count("fps", "candidate_pool_size", candidate_pool_size, n)
+    _check_size("fps sampler: candidate pool", _fps_pool_size(space, n, candidate_pool_size))
 
 
 def fps_sample(
@@ -156,9 +169,8 @@ def fps_sample(
     """
     _check_fps(space, n, candidate_pool_size if pool is None else len(pool))
     if pool is None:
-        if candidate_pool_size is None:
-            candidate_pool_size = max(n, min(FPS_POOL_PER_POINT * space.dims * n, FPS_POOL_CAP))
-        pool = rng.uniform(space.lows, space.highs, size=(candidate_pool_size, space.dims))
+        size = _fps_pool_size(space, n, candidate_pool_size)
+        pool = rng.uniform(space.lows, space.highs, size=(size, space.dims))
     else:
         pool = np.asarray(pool, dtype=float)
 

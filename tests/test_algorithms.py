@@ -22,11 +22,11 @@ from failcover.algorithms import (
     reflect_boundary,
     run_algorithm,
     run_nsga2,
-    run_nsga2d,
     run_omopso,
     run_random_search,
     sbx_crossover,
 )
+from failcover.algorithms import omopso
 from failcover.core import RunHistory, dominates, unit_box
 from failcover.problems import doi_volume_estimate, get_problem
 from failcover.samplers import make_rng
@@ -272,7 +272,7 @@ def test_nsga2_config_validation():
 
 def test_nsga2d_replacement_counts_per_generation():
     config = NsgaDConfig(population_size=40, budget=172)
-    hist = run_nsga2d(TWO_BALL, config, seed=7)
+    hist = run_nsga2(TWO_BALL, config, seed=7)
     per_gen = {}
     for ev in hist.evaluations:
         per_gen[ev.generation] = per_gen.get(ev.generation, 0) + 1
@@ -284,7 +284,7 @@ def test_nsga2d_replacement_counts_per_generation():
 
 def test_nsga2d_huge_threshold_archive_holds_one():
     config = NsgaDConfig(population_size=20, budget=200, archive_threshold=1e9)
-    hist = run_nsga2d(TWO_BALL, config, seed=8)
+    hist = run_nsga2(TWO_BALL, config, seed=8)
     # With an unreachable threshold only the first failure is archived, so the
     # recorded novelty of later evaluations is its distance to that one point.
     failing = [ev for ev in hist.evaluations if ev.failed]
@@ -299,7 +299,7 @@ def test_nsga2d_huge_threshold_archive_holds_one():
 
 def test_nsga2d_novelty_recorded():
     config = NsgaDConfig(population_size=20, budget=100)
-    hist = run_nsga2d(TWO_BALL, config, seed=9)
+    hist = run_nsga2(TWO_BALL, config, seed=9)
     assert all(ev.novelty is not None for ev in hist.evaluations)
     assert hist.evaluations[0].novelty == np.inf  # archive empty at first evaluation
 
@@ -318,8 +318,8 @@ def test_nsga2d_empty_archive_crowding_emits_no_warning():
 
 def test_nsga2d_determinism():
     config = NsgaDConfig(population_size=20, budget=150)
-    a = run_nsga2d(TWO_BALL, config, seed=10)
-    b = run_nsga2d(TWO_BALL, config, seed=10)
+    a = run_nsga2(TWO_BALL, config, seed=10)
+    b = run_nsga2(TWO_BALL, config, seed=10)
     assert_histories_identical(a, b)
 
 
@@ -396,16 +396,24 @@ def test_omopso_determinism():
     assert_histories_identical(a, b)
 
 
-def test_omopso_archive_nondominated_every_step():
-    snapshots = []
-    config = OmopsoConfig(swarm_size=20, budget=300)
-    run_omopso(TWO_BALL, config, seed=14, archive_monitor=snapshots.append)
-    assert len(snapshots) >= 2
-    for fits in snapshots:
+def test_omopso_archive_nondominated_every_step(monkeypatch):
+    inserts = []
+    add = omopso.LeaderArchive.add
+
+    def checked_add(archive, position, fitness):
+        accepted = add(archive, position, fitness)
+        fits = archive.fitness
         for i in range(len(fits)):
             for j in range(len(fits)):
                 if i != j:
                     assert not dominates(fits[i], fits[j])
+        inserts.append(accepted)
+        return accepted
+
+    monkeypatch.setattr(omopso.LeaderArchive, "add", checked_add)
+    run_omopso(TWO_BALL, OmopsoConfig(swarm_size=20, budget=300), seed=14)
+    assert len(inserts) == 300  # one insert per evaluation
+    assert any(inserts) and not all(inserts)
 
 
 def test_omopso_config_validation():

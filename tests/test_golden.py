@@ -1,5 +1,6 @@
 """Golden digests: the exact bytes of ``runs.csv`` and ``cid_series.csv`` for one
-small config per algorithm, each sampler's reference set on two_ball Large, and
+small config per algorithm, plus budgets that end nsga2 mid-generation and
+nsga2d mid-repopulation; each sampler's reference set on two_ball Large; and
 the poisson and fps reference sets on avp_analog Medium.
 
 A refactor or speed-up that must not change results keeps these hashes. A
@@ -16,11 +17,11 @@ from failcover.harness import parse_config, run_experiment
 from failcover.problems import get_problem
 
 
-def golden_config(problem: str, algorithm: str, params: dict, k: int) -> dict:
+def golden_config(problem: str, algorithm: str, params: dict, k: int, budget: int = 400) -> dict:
     return {
         "problem": {"name": problem, "variant": "Large"},
         "algorithms": [{"name": algorithm, "params": params}],
-        "budget": 400,
+        "budget": budget,
         "repetitions": 1,
         "base_seed": 11,
         "refset": {"strategy": "grid", "params": {"k": k}},
@@ -42,6 +43,19 @@ GOLDEN = {
         golden_config("two_ball", "nsga2d", {}, 64),
         "89b4fb2d7ad2eb338f573ef111932bf4fee555f6d1ca833a552093ed344b92ab",
         "84fc4fb7013dafde0a82b35cb930e14fa61f32e551b382ce586ad36240993f48",
+    ),
+    # 40 + 9 * 40 + 30: the budget runs out 30 offspring into generation 10.
+    "two_ball-nsga2-mid-generation": (
+        golden_config("two_ball", "nsga2", {}, 64, budget=430),
+        "9e7c338223ce3fe7ef00b749367b8ee9f2cc28c2ad669818c6bf4bef901027de",
+        "80c686fc3fcbb3dec4a00c0ea5ba628e5a43712dd8613de79225546e86c78add",
+    ),
+    # 40 + 8 * 44 + 40 + 2: the budget runs out two victims into generation 9's
+    # repopulation of four.
+    "two_ball-nsga2d-mid-repopulation": (
+        golden_config("two_ball", "nsga2d", {}, 64, budget=434),
+        "1cb1216015c7d18245002dd2d14ada37ed283f8af2a29799a62424097036b082",
+        "428cacba96e7b1039eb88b41e0a23321c5c600178ebf83411167d8d5fd9a3e17",
     ),
     "two_ball-omopso": (
         golden_config("two_ball", "omopso", {}, 64),

@@ -249,6 +249,36 @@ def test_algorithm_size_fields_must_be_integers(name, field, value):
 
 
 @pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"algorithms": [5]}, r"config\.algorithms\[0\]"),
+        ({"problem": 5}, r"config\.problem"),
+        ({"refset": 5}, r"config\.refset"),
+        ({"cid": 5}, r"config\.cid"),
+        ({"problem": {"name": "two_ball", "params": [1]}}, r"config\.problem\.params"),
+        ({"algorithms": [{"name": "rs", "params": [1]}]}, r"config\.algorithms\[0\]\.params"),
+    ],
+)
+def test_config_sections_must_be_objects(overrides, path):
+    with pytest.raises(ConfigError, match=rf"^{path}: expected a JSON object"):
+        parse_config(make_config(**overrides))
+
+
+def test_unhashable_preset_is_a_config_error():
+    raw = make_config(algorithms=[{"name": "rs", "preset": []}])
+    with pytest.raises(ConfigError, match=r"config\.algorithms\[0\]\.preset: unknown preset \[\]"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("overrides", [{"algorithms": [5]}, {"cid": 5}])
+def test_cli_run_exits_1_on_a_section_that_is_not_an_object(tmp_path, overrides, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(make_config(**overrides)))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "overrides, digest",
     [
         ({}, "fc2c55de289e85a12ef98412bb34adbed98bc78078b0c7fb4498fd16732a2cb6"),

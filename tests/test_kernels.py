@@ -1,11 +1,14 @@
 """The Poisson-disc, furthest-point, non-dominated-sort and problem-fitness
-kernels against the implementations they replaced.
+kernels, environmental selection and the NSGA-II run loop against the
+implementations they replaced.
 
-``dict_grid_poisson``, ``loop_fps``, ``broadcast_sort`` and the ``stack_*``
-fitness functions are the earlier versions, copied verbatim, kept here as
-references: the kernels must return exactly the same points, fronts and
-fitness, compared with ``==``, and the samplers must leave their generator in
-the same state (same draws, same order).
+``dict_grid_poisson``, ``loop_fps``, ``broadcast_sort``, the ``stack_*``
+fitness functions and the ``two_loop_*`` NSGA-II functions are the earlier
+versions, copied verbatim, kept here as references: the kernels must return
+exactly the same points, fronts, fitness and run histories, compared with
+``==``, and the samplers must leave their generator in the same state (same
+draws, same order). The ``two_loop_*`` copies differ from the originals only
+in the names they call each other by.
 """
 
 import math
@@ -16,8 +19,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failcover.algorithms import fast_nondominated_sort
-from failcover.core import SearchSpace, unit_box
+from failcover.algorithms import (
+    Nsga2Config,
+    NsgaDConfig,
+    environmental_selection,
+    fast_nondominated_sort,
+    run_nsga2,
+)
+from failcover.algorithms.nsga2 import (
+    NoveltyArchive,
+    _make_offspring,
+    archive_insert,
+    crowding_distance,
+    novelty_distance,
+    novelty_distances,
+    rank_and_crowd,
+)
+from failcover.core import ProblemDefinition, RunHistory, RunLog, SearchSpace, unit_box
 from failcover.coverage import _cache_key
 from failcover.problems import _AVP_TARGET, TWO_REGION_BOXES, VARIANTS, get_problem
 from failcover.samplers import (
@@ -27,6 +45,7 @@ from failcover.samplers import (
     _sum_rows_pairwise,
     fps_sample,
     grid_sample,
+    lhs_sample,
     make_rng,
     poisson_disc_sample,
 )
@@ -346,3 +365,182 @@ def test_fitness_batch_matches_stack_reference(name, params, reference, probe_di
         got_one = problem.fitness(x)
         assert got_one.tobytes() == np.asarray(reference(x[None, :])[0], dtype=float).tobytes()
     assert _cache_key(problem, "grid", {"k": 8})["fitness_probe"] == probe_digest
+
+
+# --- NSGA-II: environmental selection and the generation loop ----------------------
+
+
+def two_loop_environmental_selection(fitness: np.ndarray, mu: int) -> list[int]:
+    """Standard NSGA-II truncation: whole fronts, then crowding inside the split front."""
+    chosen: list[int] = []
+    for front in fast_nondominated_sort(fitness):
+        if len(chosen) + len(front) <= mu:
+            chosen.extend(front)
+            if len(chosen) == mu:
+                break
+            continue
+        crowd = crowding_distance(fitness[front])
+        order = np.argsort(-crowd, kind="stable")
+        chosen.extend(front[i] for i in order[: mu - len(chosen)])
+        break
+    return chosen
+
+
+def two_loop_run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> RunHistory:
+    """NSGA-II with LHS initialization, binary tournaments, SBX and polynomial mutation.
+
+    Emits exactly ``config.budget`` evaluations; a final partial generation is
+    truncated once the budget runs out.
+    """
+    rng = make_rng(seed)
+    log = RunLog(problem, config.budget)
+    space = problem.space
+
+    population = lhs_sample(space, config.population_size, rng)
+    fitness = np.array([log.evaluate(x).fitness for x in population])
+    ranks, crowding = rank_and_crowd(fitness)
+
+    while log.remaining > 0:
+        log.generation += 1
+        offspring = _make_offspring(space, population, ranks, crowding, config, rng)
+        evaluated: list[np.ndarray] = []
+        child_fitness: list[np.ndarray] = []
+        for child in offspring:
+            if log.remaining <= 0:
+                break
+            evaluated.append(child)
+            child_fitness.append(log.evaluate(child).fitness)
+        combined = np.concatenate([population, np.array(evaluated)])
+        combined_fitness = np.concatenate([fitness, np.array(child_fitness)])
+        survivors = two_loop_environmental_selection(combined_fitness, config.population_size)
+        population = combined[survivors]
+        fitness = combined_fitness[survivors]
+        ranks, crowding = rank_and_crowd(fitness)
+
+    return log.history("nsga2", seed)
+
+
+def two_loop_run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> RunHistory:
+    """Diversified NSGA-II: novelty objective, failure archive, repopulation.
+
+    Selection and sorting see an extra minimized objective, minus the distance
+    to the nearest archived failure. The archive holds failures from *previous*
+    generations only: each generation's failures are offered at its end, in
+    evaluation order, so a fresh failure is never measured against itself.
+    After each selection the most dominated survivors (worst front first,
+    lowest crowding first) are replaced by fresh uniform samples.
+    """
+    rng = make_rng(seed)
+    log = RunLog(problem, config.budget)
+    space = problem.space
+    archive = NoveltyArchive(threshold=config.archive_threshold)
+    n_replace = math.ceil(config.repopulation_fraction * config.population_size)
+    pending_failures: list[np.ndarray] = []
+
+    def record(x: np.ndarray, novelty: float) -> np.ndarray:
+        ev = log.evaluate(x)
+        ev.novelty = float(novelty)
+        if ev.failed:
+            pending_failures.append(ev.input)
+        return ev.fitness
+
+    def commit_failures() -> None:
+        for failure in pending_failures:
+            archive_insert(archive, failure)
+        pending_failures.clear()
+
+    def augmented(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
+        return np.column_stack([fit, -novelty_distances(archive, pop)])
+
+    population = lhs_sample(space, config.population_size, rng)
+    fitness = np.array([record(x, math.inf) for x in population])  # the archive is empty
+    commit_failures()
+    ranks, crowding = rank_and_crowd(augmented(population, fitness))
+
+    while log.remaining > 0:
+        log.generation += 1
+        offspring = _make_offspring(space, population, ranks, crowding, config, rng)
+        # The archive changes only in commit_failures, so one query serves the batch.
+        offspring_novelty = novelty_distances(archive, np.array(offspring))
+        evaluated: list[np.ndarray] = []
+        child_fitness: list[np.ndarray] = []
+        for child, novelty in zip(offspring, offspring_novelty):
+            if log.remaining <= 0:
+                break
+            evaluated.append(child)
+            child_fitness.append(record(child, novelty))
+        combined = np.concatenate([population, np.array(evaluated)])
+        combined_fitness = np.concatenate([fitness, np.array(child_fitness)])
+        survivors = two_loop_environmental_selection(augmented(combined, combined_fitness),
+                                                     config.population_size)
+        population = combined[survivors]
+        fitness = combined_fitness[survivors]
+
+        # Repopulation: victims ordered worst front first, least crowded first.
+        if log.remaining > 0:
+            ranks, crowding = rank_and_crowd(augmented(population, fitness))
+            victim_order = sorted(
+                range(len(population)), key=lambda i: (-ranks[i], crowding[i], i)
+            )
+            for i in victim_order[:n_replace]:
+                if log.remaining <= 0:
+                    break
+                fresh = rng.uniform(space.lows, space.highs)
+                population[i] = fresh
+                fitness[i] = record(fresh, novelty_distance(archive, fresh))
+
+        commit_failures()
+        ranks, crowding = rank_and_crowd(augmented(population, fitness))
+
+    return log.history("nsga2d", seed)
+
+
+def assert_same_history(got: RunHistory, want: RunHistory) -> None:
+    assert (got.algorithm_name, got.problem_name, got.oracle_label, got.seed) == (
+        want.algorithm_name, want.problem_name, want.oracle_label, want.seed)
+    assert len(got) == len(want)
+    for column in ("input", "fitness"):
+        a = np.array([getattr(ev, column) for ev in got.evaluations])
+        b = np.array([getattr(ev, column) for ev in want.evaluations])
+        assert a.shape == b.shape and (a == b).all()
+    for column in ("index", "failed", "generation", "novelty"):
+        assert [getattr(ev, column) for ev in got.evaluations] == [
+            getattr(ev, column) for ev in want.evaluations]
+
+
+#: (population, budget): the budgets end between generations (nsga2 at 20,
+#: 600), in the middle of the offspring, or in the middle of nsga2d's
+#: repopulation (20, 481 at the default fraction; 6, 437 at 0.5).
+NSGA2_RUNS = [(6, 437), (20, 481), (20, 600), (40, 437), (40, 1013)]
+
+
+@pytest.mark.parametrize("population, budget", NSGA2_RUNS)
+@pytest.mark.parametrize("variant", ["Large", "Small"])
+@pytest.mark.parametrize("problem_name", ["two_ball", "two_region", "avp_analog"])
+def test_run_nsga2_matches_two_loop_reference(problem_name, variant, population, budget):
+    problem = get_problem(problem_name, variant)
+    seed = population + budget
+    configs = [
+        (Nsga2Config(population_size=population, budget=budget), two_loop_run_nsga2),
+        (NsgaDConfig(population_size=population, budget=budget), two_loop_run_nsga2d),
+        (NsgaDConfig(population_size=population, budget=budget, repopulation_fraction=0.5,
+                     archive_threshold=0.05), two_loop_run_nsga2d),
+    ]
+    for config, reference in configs:
+        assert_same_history(run_nsga2(problem, config, seed), reference(problem, config, seed))
+
+
+@given(tie_heavy_fitness())
+@settings(max_examples=200, deadline=None)
+def test_environmental_selection_returns_the_survivors_ranks_and_crowding(fitness):
+    fronts = fast_nondominated_sort(fitness)
+    # Every mu: the exact fits end on a whole front, every other mu splits one.
+    exact_fits = {sum(len(f) for f in fronts[: j + 1]) for j in range(len(fronts))}
+    for mu in range(1, len(fitness) + 1):
+        survivors, ranks, crowding = environmental_selection(fitness, mu)
+        assert list(survivors) == two_loop_environmental_selection(fitness, mu)
+        want_ranks, want_crowding = rank_and_crowd(fitness[survivors])
+        assert ranks.dtype == want_ranks.dtype and (ranks == want_ranks).all()
+        assert crowding.tobytes() == want_crowding.tobytes()
+        if mu in exact_fits:
+            assert sorted(survivors) == sorted(i for f in fronts[: ranks.max() + 1] for i in f)

@@ -251,6 +251,33 @@ def test_size_guard_refuses_before_allocating():
     validate_sampler_params("grid", {"k": 3162}, unit_box(2))
 
 
+@pytest.mark.parametrize(
+    "strategy, params, what, size",
+    [
+        ("uniform", {"n": 10**12}, "uniform sampler: n", "1,000,000,000,000"),
+        ("lhs", {"n": 10**12}, "lhs sampler: n", "1,000,000,000,000"),
+        ("uniform", {"n": 10_000_001}, "uniform sampler: n", "10,000,001"),
+        ("fps", {"n": 20, "candidate_pool_size": 10**12}, "fps sampler: candidate pool",
+         "1,000,000,000,000"),
+        # The default pool of n above FPS_POOL_CAP is n itself.
+        ("fps", {"n": 10**9}, "fps sampler: candidate pool", "1,000,000,000"),
+    ],
+)
+def test_size_guard_bounds_point_counts_and_the_fps_pool(strategy, params, what, size):
+    # Every size here raises before anything is allocated.
+    with pytest.raises(ValueError, match=rf"{what} would hold {size} entries, above MAX_SAMPLER"):
+        validate_sampler_params(strategy, params, unit_box(3))
+    sampler = {"uniform": uniform_sample, "lhs": lhs_sample, "fps": fps_sample}[strategy]
+    with pytest.raises(ValueError, match=rf"{what} would hold {size} entries"):
+        sampler(unit_box(3), **params, rng=make_rng(0))
+
+
+def test_size_guard_keeps_the_largest_allowed_counts():
+    validate_sampler_params("uniform", {"n": 10_000_000}, unit_box(3))
+    validate_sampler_params("fps", {"n": 20, "candidate_pool_size": 10_000_000}, unit_box(3))
+    validate_sampler_params("fps", {"n": 400}, unit_box(3))  # a default pool of 60,000
+
+
 def test_make_rng_substreams_differ():
     a = make_rng(1).random(4)
     b = make_rng(1, 1).random(4)
