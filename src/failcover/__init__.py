@@ -19,10 +19,8 @@ from .algorithms import (
 )
 from .core import (
     BudgetExhausted,
-    Evaluation,
     OracleSpec,
     ProblemDefinition,
-    RunHistory,
     RunLog,
     SearchSpace,
     dominates,

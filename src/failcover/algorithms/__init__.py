@@ -1,8 +1,9 @@
 """Test-generation algorithms sharing the evaluation-budget contract.
 
-Four algorithms produce :class:`~failcover.core.RunHistory` logs: random
-search (``rs``), NSGA-II (``nsga2``), diversified NSGA-II with a novelty
-archive and repopulation (``nsga2d``), and the swarm-based ``omopso``.
+Four algorithms each return the :class:`~failcover.core.RunLog` of a run:
+random search (``rs``), NSGA-II (``nsga2``), diversified NSGA-II with a
+novelty archive and repopulation (``nsga2d``), and the swarm-based
+``omopso``.
 ``nsga2`` and ``nsga2d`` share one runner, :func:`run_nsga2`, which
 diversifies when its config is an :class:`NsgaDConfig`. :data:`REGISTRY` is
 the one table of what each accepts, keyed by config name.
@@ -14,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import Any
 
-from ..core import ProblemDefinition, RunHistory
+from ..core import ProblemDefinition, RunLog
 from .nsga2 import (
     NoveltyArchive,
     Nsga2Config,
@@ -45,7 +46,7 @@ class Algorithm:
     """A registered algorithm: its config dataclass, runner, batch field and presets."""
 
     config: type
-    run: Callable[[ProblemDefinition, Any, int], RunHistory]
+    run: Callable[[ProblemDefinition, Any, int], RunLog]
     #: Config field holding the generation size: population, swarm or rs batch.
     batch_field: str
     #: Named hyperparameter presets at the two studied scales.
@@ -86,7 +87,7 @@ def make_config(name: str, budget: int, params: dict | None = None) -> Any:
 
 def run_algorithm(
     name: str, problem: ProblemDefinition, budget: int, seed: int, params: dict | None = None
-) -> RunHistory:
+) -> RunLog:
     """Dispatch one seeded run by config name; ``params`` override the defaults."""
     config = make_config(name, budget, params)
     return REGISTRY[name].run(problem, config, seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ProblemDefinition, RunHistory, RunLog, SearchSpace, check_integer
+from ..core import ProblemDefinition, RunLog, SearchSpace, check_finite_real, check_integer
 from ..samplers import lhs_sample, make_rng
 
 
@@ -31,10 +31,15 @@ class Nsga2Config:
         check_integer("population_size", self.population_size)
         if self.population_size < 4 or self.population_size % 2 != 0:
             raise ValueError(f"population_size must be even and >= 4, got {self.population_size}")
+        for name in ("crossover_rate", "mutation_rate", "sbx_eta", "pm_eta"):
+            check_finite_real(name, getattr(self, name))
         for name in ("crossover_rate", "mutation_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        for name in ("sbx_eta", "pm_eta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.budget < self.population_size:
             raise ValueError(
                 f"budget ({self.budget}) must cover one population ({self.population_size})"
@@ -50,6 +55,8 @@ class NsgaDConfig(Nsga2Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        check_finite_real("archive_threshold", self.archive_threshold)
+        check_finite_real("repopulation_fraction", self.repopulation_fraction)
         if self.archive_threshold <= 0:
             raise ValueError(f"archive_threshold must be positive, got {self.archive_threshold}")
         if not 0.0 < self.repopulation_fraction <= 0.5:
@@ -301,7 +308,7 @@ def _make_offspring(
     return offspring
 
 
-def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> RunHistory:
+def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> RunLog:
     """NSGA-II with LHS initialization, binary tournaments, SBX and polynomial mutation.
 
     Emits exactly ``config.budget`` evaluations; a final partial generation is
@@ -329,17 +336,15 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
     def evaluate(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate the rows of ``X`` the budget still covers; return them and their fitness."""
         X = X[: log.remaining]
-        # The archive changes only in commit_failures, so one query serves the batch.
-        novelty = novelty_distances(archive, X) if diversified else None
-        fitness = np.empty((len(X), problem.objective_count))
-        for i, x in enumerate(X):
-            ev = log.evaluate(x)
-            fitness[i] = ev.fitness
-            if diversified:
-                ev.novelty = float(novelty[i])
-                if ev.failed:
-                    pending_failures.append(ev.input)
-        return X, fitness
+        start = len(log)
+        for x in X:
+            log.evaluate(x)
+        rows = log.evaluations[start:]
+        if diversified:
+            # The archive changes only in commit_failures, so one query serves the batch.
+            rows.novelty = novelty_distances(archive, X)
+            pending_failures.extend(rows.input[rows.failed])
+        return X, rows.fitness.copy()
 
     def commit_failures() -> None:
         for failure in pending_failures:
@@ -374,4 +379,4 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
             commit_failures()
             ranks, crowding = rank_and_crowd(objectives(population, fitness))
 
-    return log.history("nsga2d" if diversified else "nsga2", seed)
+    return log

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ProblemDefinition, RunHistory, RunLog, SearchSpace, check_integer, dominates
+from ..core import (
+    ProblemDefinition,
+    RunLog,
+    SearchSpace,
+    check_finite_real,
+    check_integer,
+    dominates,
+)
 from ..samplers import make_rng
 from .nsga2 import crowding_distance
 
@@ -33,6 +40,8 @@ class OmopsoConfig:
         check_integer("swarm_size", self.swarm_size)
         if self.archive_size is not None:
             check_integer("archive_size", self.archive_size)
+        for name in ("w_min", "w_max", "mutation_rate", "c_min", "c_max"):
+            check_finite_real(name, getattr(self, name))
         if self.swarm_size < 1:
             raise ValueError(f"swarm_size must be positive, got {self.swarm_size}")
         if not 0.0 < self.w_min < self.w_max < 1.0:
@@ -43,6 +52,8 @@ class OmopsoConfig:
             raise ValueError(f"archive_size must be positive, got {self.archive_size}")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
+        if not 0.0 < self.c_min <= self.c_max:
+            raise ValueError(f"need 0 < c_min <= c_max, got ({self.c_min}, {self.c_max})")
         if self.budget < self.swarm_size:
             raise ValueError(
                 f"budget ({self.budget}) must cover one swarm pass ({self.swarm_size})"
@@ -179,7 +190,7 @@ def _nonuniform_turbulence(
     return space.clip(y)
 
 
-def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> RunHistory:
+def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> RunLog:
     """Swarm search with a crowding-distance leader archive."""
     rng = make_rng(seed)
     log = RunLog(problem, config.budget)
@@ -188,7 +199,7 @@ def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> R
 
     positions = rng.uniform(space.lows, space.highs, size=(swarm, space.dims))
     velocities = np.zeros_like(positions)
-    fitness = np.array([log.evaluate(x).fitness for x in positions])
+    fitness = np.array([log.evaluate(x) for x in positions])
     pbest_pos = positions.copy()
     pbest_fit = fitness.copy()
 
@@ -226,17 +237,17 @@ def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> R
                 positions[i] = _nonuniform_turbulence(
                     space, positions[i], config.mutation_rate, rng, progress
                 )
-            ev = log.evaluate(positions[i])
-            fitness[i] = ev.fitness
-            if dominates(ev.fitness, pbest_fit[i]):
+            f = log.evaluate(positions[i])
+            fitness[i] = f
+            if dominates(f, pbest_fit[i]):
                 replace = True
-            elif dominates(pbest_fit[i], ev.fitness):
+            elif dominates(pbest_fit[i], f):
                 replace = False
             else:
                 replace = rng.random() < 0.5
             if replace:
                 pbest_pos[i] = positions[i].copy()
-                pbest_fit[i] = ev.fitness.copy()
-            archive.add(positions[i], ev.fitness)
+                pbest_fit[i] = f.copy()
+            archive.add(positions[i], f)
 
-    return log.history("omopso", seed)
+    return log

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import ProblemDefinition, RunHistory, RunLog, check_integer
+from ..core import ProblemDefinition, RunLog, check_integer
 from ..samplers import make_rng
 
 
@@ -21,7 +21,7 @@ class RandomSearchConfig:
 
 def run_random_search(
     problem: ProblemDefinition, config: RandomSearchConfig, seed: int
-) -> RunHistory:
+) -> RunLog:
     """Uniform random search; ``batch_size`` groups evaluations into pseudo-generations.
 
     The generation index floor(index / batch_size) makes iteration counts
@@ -33,4 +33,4 @@ def run_random_search(
     while log.remaining > 0:
         log.generation = log.used // config.batch_size
         log.evaluate(rng.uniform(space.lows, space.highs))
-    return log.history("rs", seed)
+    return log

@@ -1,5 +1,6 @@
 """Core problem model: search spaces, vector fitness, failure oracles, Pareto
-dominance, and the evaluation log shared by every search algorithm.
+dominance, and the run log, one table of evaluations, shared by every search
+algorithm.
 
 A problem is one :class:`ProblemDefinition`: a box, a batch fitness mapping
 ``(N, dims)`` inputs to ``(N, objective_count)`` values, and an oracle. Its
@@ -20,7 +21,7 @@ import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TextIO
@@ -195,42 +196,17 @@ class ProblemDefinition:
         return f[0]
 
 
-@dataclass(slots=True)
-class Evaluation:
-    """One fitness evaluation: budget index, input, fitness, verdict, batch index.
-
-    ``novelty`` is filled only by the diversified search, which logs each
-    input's distance to the novelty archive at evaluation time.
-    """
-
-    index: int
-    input: np.ndarray
-    fitness: np.ndarray
-    failed: bool
-    generation: int
-    novelty: float | None = None
-
-
-@dataclass
-class RunHistory:
-    """Ordered evaluation log of one seeded run of one algorithm."""
-
-    algorithm_name: str
-    problem_name: str
-    oracle_label: str
-    seed: int
-    evaluations: list[Evaluation] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.evaluations)
-
-
 class RunLog:
-    """Mutable budget counter plus the growing evaluation history of one run.
+    """Budget counter and evaluation table of one run.
 
-    Algorithms set ``generation`` before each batch and call :meth:`evaluate`
-    once per candidate; the log enforces bounds, counts the budget, and applies
-    the oracle.
+    The table is one ``np.recarray`` of ``budget`` rows, preallocated, with the
+    columns ``input (dims,)``, ``fitness (objective_count,)``, ``failed``,
+    ``generation`` and ``novelty``. Algorithms set ``generation`` before each
+    batch and call :meth:`evaluate` once per candidate; the log enforces
+    bounds, counts the budget, applies the oracle and fills the next row.
+    ``novelty`` stays NaN unless the algorithm writes it (nsga2d logs each
+    input's distance to its novelty archive). :attr:`evaluations` is the
+    filled part of the table, and ``len(log)`` its row count.
     """
 
     def __init__(self, problem: ProblemDefinition, budget: int):
@@ -240,39 +216,45 @@ class RunLog:
         self.problem = problem
         self.budget = int(budget)
         self.generation = 0
-        self.evaluations: list[Evaluation] = []
+        self.used = 0
+        self.table = np.zeros(self.budget, dtype=[
+            ("input", float, (problem.space.dims,)),
+            ("fitness", float, (problem.objective_count,)),
+            ("failed", bool),
+            ("generation", np.int64),
+            ("novelty", float),
+        ]).view(np.recarray)
+        self.table.novelty = np.nan
+        # Plain ndarray views of the columns, for the per-evaluation writes.
+        self._input = self.table.input
+        self._fitness = self.table.fitness
+        self._failed = self.table.failed
+        self._generation = self.table.generation
 
-    @property
-    def used(self) -> int:
-        return len(self.evaluations)
+    def __len__(self) -> int:
+        return self.used
 
     @property
     def remaining(self) -> int:
         return self.budget - self.used
 
-    def evaluate(self, x: np.ndarray) -> Evaluation:
-        """Spend one budget unit on ``x`` and append the outcome to the history."""
-        if self.remaining <= 0:
+    @property
+    def evaluations(self) -> np.recarray:
+        """The filled rows, in evaluation order; a view of the table."""
+        return self.table[: self.used]
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Spend one budget unit on ``x``, log it in the next row, return its fitness."""
+        i = self.used
+        if i >= self.budget:
             raise BudgetExhausted(f"budget of {self.budget} evaluations is spent")
         x = np.array(x, dtype=float)
         if not self.problem.space.contains(x):
             raise ValueError(f"input {x!r} is outside the search space")
         f = self.problem.fitness(x)
-        ev = Evaluation(
-            index=self.used,
-            input=x,
-            fitness=f,
-            failed=bool(self.problem.oracle.mask(f)),
-            generation=self.generation,
-        )
-        self.evaluations.append(ev)
-        return ev
-
-    def history(self, algorithm_name: str, seed: int) -> RunHistory:
-        return RunHistory(
-            algorithm_name=algorithm_name,
-            problem_name=self.problem.name,
-            oracle_label=self.problem.oracle.variant_label,
-            seed=int(seed),
-            evaluations=self.evaluations,
-        )
+        self._input[i] = x
+        self._fitness[i] = f
+        self._failed[i] = self.problem.oracle.mask(f)
+        self._generation[i] = self.generation
+        self.used = i + 1
+        return f

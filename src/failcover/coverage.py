@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .core import ProblemDefinition, RunHistory, SearchSpace, atomic_open, check_finite_real
+from .core import ProblemDefinition, RunLog, atomic_open, check_finite_real
 from .samplers import grid_step_diagonal, make_rng, sample_by_name
 
 
@@ -97,17 +97,10 @@ def _aggregate(distances: np.ndarray, q: float, m: int) -> float:
     return float(np.sum(distances**q) ** (1.0 / q) / m)
 
 
-def cid(
-    test_set,
-    reference,
-    params: CidParams = CidParams(),
-    normalize_space: SearchSpace | None = None,
-) -> float:
+def cid(test_set, reference, params: CidParams = CidParams()) -> float:
     """Coverage inverted distance of ``test_set`` against ``reference``.
 
-    ``normalize_space``, when given, rescales both sets per axis to the unit
-    box before measuring distances (off by default: distances are taken in
-    raw search-space coordinates).
+    Distances are taken in raw search-space coordinates.
     """
     A = _as_points(test_set, "test set")
     Z = _as_points(reference, "reference set")
@@ -120,9 +113,6 @@ def cid(
             f"dimensionality mismatch: test points are {A.shape[1]}-D, "
             f"reference points are {Z.shape[1]}-D"
         )
-    if normalize_space is not None:
-        A = (A - normalize_space.lows) / normalize_space.widths
-        Z = (Z - normalize_space.lows) / normalize_space.widths
     nearest, _ = cKDTree(A).query(Z, p=params.p)
     return _aggregate(np.atleast_1d(nearest), params.q, len(Z))
 
@@ -143,7 +133,7 @@ class ConvergenceSeries:
 
 
 def convergence_series(
-    history: RunHistory,
+    history: RunLog,
     reference,
     params: CidParams = CidParams(),
     interval: int = 100,
@@ -158,7 +148,8 @@ def convergence_series(
     Z = _as_points(reference, "reference set")
     if len(Z) == 0:
         raise ValueError("reference set is empty; CID needs at least one reference point")
-    n = len(history.evaluations)
+    inputs, failed = history.evaluations.input, history.evaluations.failed
+    n = len(failed)
     marks = list(range(interval, n + 1, interval))
     if not marks or marks[-1] != n:
         marks.append(n)
@@ -168,11 +159,11 @@ def convergence_series(
     cursor = 0
     checkpoints = []
     for mark in marks:
-        fresh = [ev.input for ev in history.evaluations[cursor:mark] if ev.failed]
+        fresh = inputs[cursor:mark][failed[cursor:mark]]
         cursor = mark
-        if fresh:
+        if len(fresh):
             failures += len(fresh)
-            d = cdist(Z, np.array(fresh), metric="minkowski", p=params.p).min(axis=1)
+            d = cdist(Z, fresh, metric="minkowski", p=params.p).min(axis=1)
             best = np.minimum(best, d)
         value = _aggregate(best, params.q, len(Z)) if failures else None
         checkpoints.append(
@@ -181,19 +172,17 @@ def convergence_series(
     return ConvergenceSeries(checkpoints=tuple(checkpoints))
 
 
-def failure_count(history: RunHistory) -> int:
+def failure_count(history: RunLog) -> int:
     """Number of failing evaluations in the run."""
-    return sum(1 for ev in history.evaluations if ev.failed)
+    return int(history.evaluations.failed.sum())
 
 
-def first_failure_iteration(history: RunHistory, batch_size: int) -> int | None:
+def first_failure_iteration(history: RunLog, batch_size: int) -> int | None:
     """1-based generation of the earliest failure, batching by ``batch_size``."""
     if batch_size < 1:
         raise ValueError(f"batch size must be positive, got {batch_size}")
-    for ev in history.evaluations:
-        if ev.failed:
-            return ev.index // batch_size + 1
-    return None
+    hits = np.flatnonzero(history.evaluations.failed)
+    return int(hits[0]) // batch_size + 1 if len(hits) else None
 
 
 # --- reference-set construction and persistence ------------------------------
@@ -225,7 +214,7 @@ def build_reference_set(
     A CSV whose sidecar is missing or records another key is rebuilt.
     """
     strategy = sampler.get("strategy")
-    params = dict(sampler.get("params", {}))
+    params = sampler.get("params", {})  # not dict(): sample_by_name must see and refuse a list
 
     if cache_dir is not None:
         key = _cache_key(problem, strategy, params)
@@ -250,7 +239,7 @@ def build_reference_set(
         problem_name=problem.name,
         oracle_label=problem.oracle.variant_label,
         sampler_label=strategy,
-        sampler_params=params,
+        sampler_params=dict(params),
         total_sampled=len(sample),
         max_adjacent_distance=r_star,
     )

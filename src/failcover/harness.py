@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -29,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .algorithms import ALGORITHM_NAMES, REGISTRY, make_config, run_algorithm
-from .core import ProblemDefinition, RunHistory, atomic_open, check_integer
+from .core import ProblemDefinition, RunLog, atomic_open, check_integer
 from .coverage import (
     CidParams,
     ConvergenceSeries,
@@ -212,11 +213,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     else:
         strategy = _require(refset, "strategy", "config.refset")
         try:
-            refset_params = dict(refset.get("params", {}))
+            refset_params = refset.get("params", {})
             validate_sampler_params(strategy, refset_params, space)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.refset: {exc}") from exc
-        refset_spec = {"strategy": strategy, "params": refset_params}
+        refset_spec = {"strategy": strategy, "params": dict(refset_params)}
 
     cid_raw = raw.get("cid", {})
     _reject_unknown(cid_raw, {"p", "q", "interval"}, "config.cid")
@@ -267,7 +268,7 @@ class RunRecord:
     repetition: int
     seed: int
     batch_size: int
-    history: RunHistory
+    history: RunLog
     series: ConvergenceSeries
 
     @property
@@ -350,8 +351,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
 def _write_runs_csv(
     out_dir: Path, config: ExperimentConfig, problem: ProblemDefinition, runs: list[RunRecord]
 ) -> Path:
-    """One line per evaluation, in the text ``_write_rows`` would give each value."""
-    with_novelty = any(r.algorithm == "nsga2d" for r in runs)
+    """One line per evaluation, in the text ``_write_rows`` would give each value.
+
+    The novelty column appears when any run logged a novelty; the other runs
+    leave it empty.
+    """
+    with_novelty = any(not np.isnan(r.history.evaluations.novelty).all() for r in runs)
     header = ["run_id", "algorithm", "problem", "variant", "seed", "eval_index", "generation"]
     header += [f"x{j + 1}" for j in range(problem.space.dims)]
     header += [f"f{j + 1}" for j in range(problem.objective_count)]
@@ -363,14 +368,15 @@ def _write_runs_csv(
         fh.write(",".join(header) + "\n")
         for r in runs:
             prefix = f"{r.run_id},{r.algorithm},{config.problem_name},{config.variant},{r.seed},"
-            lines = []
-            for ev in r.history.evaluations:
-                cells = ",".join(map(repr, ev.input.tolist() + ev.fitness.tolist()))
-                if with_novelty:
-                    cells += "," if ev.novelty is None else f",{float(ev.novelty)!r}"
-                lines.append(f"{prefix}{ev.index},{ev.generation},{cells},"
-                             f"{'1' if ev.failed else '0'}\n")
-            fh.write("".join(lines))
+            ev = r.history.evaluations
+            values = np.hstack([ev.input, ev.fitness]).tolist()
+            cells = [",".join(map(repr, row)) for row in values]
+            if with_novelty:
+                cells = [f"{c},{'' if math.isnan(v) else repr(v)}"
+                         for c, v in zip(cells, ev.novelty.tolist())]
+            rows = zip(ev.generation.tolist(), cells, ev.failed.tolist())
+            fh.write("".join(f"{prefix}{i},{g},{c},{int(failed)}\n"
+                             for i, (g, c, failed) in enumerate(rows)))
     return path
 
 

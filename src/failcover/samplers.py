@@ -14,7 +14,7 @@ that uses fused multiply-adds can round a length differently in the last bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,12 +312,17 @@ STRATEGIES = {
 }
 
 
-def validate_sampler_params(strategy: str, params: dict, space: SearchSpace) -> None:
-    """Raise ``ValueError`` unless ``params`` (with ``seed``) suit ``strategy`` on ``space``."""
+def validate_sampler_params(strategy: str, params: Mapping, space: SearchSpace) -> None:
+    """Raise ``ValueError`` unless ``params`` (with ``seed``) suit ``strategy`` on ``space``.
+
+    ``params`` must be a mapping; a list of pairs is refused, not converted.
+    """
     if not isinstance(strategy, str) or strategy not in STRATEGIES:
         raise ValueError(
             f"unknown sampling strategy {strategy!r}, expected one of {sorted(STRATEGIES)}"
         )
+    if not isinstance(params, Mapping):
+        raise ValueError(f"{strategy} sampler: params must be a mapping, got {params!r}")
     spec = STRATEGIES[strategy]
     params = dict(params)
     unknown = set(params).difference(spec.required, spec.optional, ["seed"] if spec.seeded else [])

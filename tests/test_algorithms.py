@@ -27,7 +27,7 @@ from failcover.algorithms import (
     sbx_crossover,
 )
 from failcover.algorithms import omopso
-from failcover.core import RunHistory, dominates, unit_box
+from failcover.core import RunLog, dominates, unit_box
 from failcover.problems import doi_volume_estimate, get_problem
 from failcover.samplers import make_rng
 
@@ -48,13 +48,10 @@ def brute_force_fronts(fitness: np.ndarray) -> list[list[int]]:
     return fronts
 
 
-def assert_histories_identical(a: RunHistory, b: RunHistory) -> None:
+def assert_histories_identical(a: RunLog, b: RunLog) -> None:
     assert len(a) == len(b)
-    for ea, eb in zip(a.evaluations, b.evaluations):
-        assert ea.index == eb.index and ea.generation == eb.generation
-        np.testing.assert_array_equal(ea.input, eb.input)
-        np.testing.assert_array_equal(ea.fitness, eb.fitness)
-        assert ea.failed == eb.failed and ea.novelty == eb.novelty
+    for column in ("input", "fitness", "failed", "generation", "novelty"):
+        np.testing.assert_array_equal(a.evaluations[column], b.evaluations[column])
 
 
 # --- non-dominated sorting -------------------------------------------------------
@@ -207,7 +204,7 @@ def test_archive_pairwise_invariant_after_random_insertions():
 
 def test_rs_generation_pattern():
     hist = run_random_search(TWO_BALL, RandomSearchConfig(batch_size=5, budget=10), seed=1)
-    assert [ev.generation for ev in hist.evaluations] == [0] * 5 + [1] * 5
+    assert hist.evaluations.generation.tolist() == [0] * 5 + [1] * 5
 
 
 def test_rs_determinism():
@@ -221,7 +218,7 @@ def test_rs_failure_count_binomial_bound():
     fraction = doi_volume_estimate(TWO_BALL, k=256)
     config = RandomSearchConfig(batch_size=40, budget=2000)
     hist = run_random_search(TWO_BALL, config, seed=11)
-    failures = sum(ev.failed for ev in hist.evaluations)
+    failures = hist.evaluations.failed.sum()
     sigma = np.sqrt(2000 * fraction * (1 - fraction))
     assert abs(failures - 2000 * fraction) <= 3 * sigma
 
@@ -233,7 +230,8 @@ def test_nsga2_budget_equals_population_is_init_only():
     config = Nsga2Config(population_size=20, budget=20)
     hist = run_nsga2(TWO_BALL, config, seed=4)
     assert len(hist) == 20
-    assert all(ev.generation == 0 for ev in hist.evaluations)
+    assert (hist.evaluations.generation == 0).all()
+    assert np.isnan(hist.evaluations.novelty).all()  # only nsga2d logs a novelty
 
 
 def test_nsga2_determinism():
@@ -253,8 +251,8 @@ def test_nsga2_converges_toward_pareto_segment():
         t = np.clip((pts - c1) @ d / (d @ d), 0.0, 1.0)
         return np.linalg.norm(pts - (c1 + t[:, None] * d), axis=1)
 
-    first = np.array([ev.input for ev in hist.evaluations[:40]])
-    last = np.array([ev.input for ev in hist.evaluations[-40:]])
+    first = hist.evaluations.input[:40]
+    last = hist.evaluations.input[-40:]
     assert dist_to_segment(last).mean() < dist_to_segment(first).mean()
 
 
@@ -273,9 +271,7 @@ def test_nsga2_config_validation():
 def test_nsga2d_replacement_counts_per_generation():
     config = NsgaDConfig(population_size=40, budget=172)
     hist = run_nsga2(TWO_BALL, config, seed=7)
-    per_gen = {}
-    for ev in hist.evaluations:
-        per_gen[ev.generation] = per_gen.get(ev.generation, 0) + 1
+    per_gen = np.bincount(hist.evaluations.generation)
     assert per_gen[0] == 40
     assert per_gen[1] == 44  # 40 offspring + ceil(0.1 * 40) = 4 replacements
     assert per_gen[2] == 44
@@ -287,21 +283,22 @@ def test_nsga2d_huge_threshold_archive_holds_one():
     hist = run_nsga2(TWO_BALL, config, seed=8)
     # With an unreachable threshold only the first failure is archived, so the
     # recorded novelty of later evaluations is its distance to that one point.
-    failing = [ev for ev in hist.evaluations if ev.failed]
-    assert failing, "run should find failures on the Large lens"
-    anchor = failing[0].input
+    ev = hist.evaluations
+    failing = np.flatnonzero(ev.failed)
+    assert len(failing), "run should find failures on the Large lens"
+    anchor = ev.input[failing[0]]
     first_gen_end = 20
-    for ev in hist.evaluations:
-        if ev.index < first_gen_end or ev.generation <= failing[0].generation:
+    for i in range(len(ev)):
+        if i < first_gen_end or ev.generation[i] <= ev.generation[failing[0]]:
             continue
-        assert ev.novelty == pytest.approx(float(np.linalg.norm(ev.input - anchor)))
+        assert ev.novelty[i] == pytest.approx(float(np.linalg.norm(ev.input[i] - anchor)))
 
 
 def test_nsga2d_novelty_recorded():
     config = NsgaDConfig(population_size=20, budget=100)
     hist = run_nsga2(TWO_BALL, config, seed=9)
-    assert all(ev.novelty is not None for ev in hist.evaluations)
-    assert hist.evaluations[0].novelty == np.inf  # archive empty at first evaluation
+    assert not np.isnan(hist.evaluations.novelty).any()
+    assert hist.evaluations.novelty[0] == np.inf  # archive empty at first evaluation
 
 
 def test_nsga2d_empty_archive_crowding_emits_no_warning():
@@ -386,7 +383,7 @@ def test_omopso_budget_equals_swarm_is_init_only():
     config = OmopsoConfig(swarm_size=20, budget=20)
     hist = run_omopso(TWO_BALL, config, seed=12)
     assert len(hist) == 20
-    assert all(ev.generation == 0 for ev in hist.evaluations)
+    assert (hist.evaluations.generation == 0).all()
 
 
 def test_omopso_determinism():
@@ -435,9 +432,9 @@ def test_budget_exactness_and_bounds(name, problem_name):
     for seed in range(10):
         hist = run_algorithm(name, sp, budget=60, seed=seed, params=small)
         assert len(hist) == 60
-        assert [ev.index for ev in hist.evaluations] == list(range(60))
-        for ev in hist.evaluations:
-            assert sp.space.contains(ev.input)
+        assert len(hist.evaluations) == 60 and hist.remaining == 0
+        for x in hist.evaluations.input:
+            assert sp.space.contains(x)
 
 
 def test_run_algorithm_unknown_name():

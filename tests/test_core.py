@@ -1,4 +1,4 @@
-"""Core model: dominance, oracles, search spaces, and the evaluation log."""
+"""Core model: dominance, oracles, search spaces, and the run log."""
 
 import numpy as np
 import pytest
@@ -144,13 +144,36 @@ def _toy_problem(fitness_batch=_toy_fitness) -> ProblemDefinition:
 
 def test_runlog_indices_and_verdicts():
     log = RunLog(_toy_problem(), budget=3)
-    e0 = log.evaluate([0.2, 0.1])  # f2 = -0.9 -> failure
+    f0 = log.evaluate([0.2, 0.1])  # f2 = -0.9 -> failure
     log.generation = 1
-    e1 = log.evaluate([0.2, 0.9])  # f2 = -0.1 -> pass
-    assert (e0.index, e1.index) == (0, 1)
+    f1 = log.evaluate([0.2, 0.9])  # f2 = -0.1 -> pass
+    e0, e1 = log.evaluations
+    assert f0.tolist() == e0.fitness.tolist() and f1.tolist() == e1.fitness.tolist()
+    assert e0.input.tolist() == [0.2, 0.1] and e1.input.tolist() == [0.2, 0.9]
     assert e0.failed and not e1.failed
     assert (e0.generation, e1.generation) == (0, 1)
-    assert log.remaining == 1
+    assert log.remaining == 1 and len(log) == 2
+
+
+def test_runlog_with_budget_left_counts_only_the_filled_rows():
+    log = RunLog(_toy_problem(), budget=5)
+    log.evaluate([0.2, 0.1])
+    log.evaluate([0.7, 0.8])
+    assert len(log) == 2 and len(log.evaluations) == 2 and log.remaining == 3
+    assert len(log.table) == 5
+    ev = log.evaluations
+    assert ev.input.shape == (2, 2) and ev.fitness.shape == (2, 2)
+    assert ev.failed.tolist() == [True, False]
+    assert ev.generation.dtype == np.int64 and ev.generation.tolist() == [0, 0]
+    assert np.isnan(log.table.novelty).all()  # nothing logged a novelty
+    assert [bool(row.failed) for row in ev] == [True, False]  # rows read as records
+
+
+def test_runlog_evaluations_is_a_view_of_the_table():
+    log = RunLog(_toy_problem(), budget=3)
+    log.evaluate([0.2, 0.1])
+    log.evaluations.novelty[0] = 0.5
+    assert log.table.novelty[0] == 0.5 and np.isnan(log.table.novelty[1:]).all()
 
 
 def test_runlog_budget_exhausted():
@@ -170,7 +193,8 @@ def test_runlog_deterministic_fitness():
     log = RunLog(_toy_problem(), budget=2)
     a = log.evaluate([0.3, 0.7])
     b = log.evaluate([0.3, 0.7])
-    np.testing.assert_array_equal(a.fitness, b.fitness)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(*log.evaluations.fitness)
 
 
 def test_problem_rejects_bad_oracle_index():
@@ -184,14 +208,13 @@ def test_problem_rejects_bad_oracle_index():
         )
 
 
-def test_history_records_run_identity():
+def test_runlog_records_verdicts_in_order():
     log = RunLog(_toy_problem(), budget=3)
     log.evaluate([0.2, 0.1])
     log.evaluate([0.2, 0.9])
     log.evaluate([0.7, 0.2])
-    hist = log.history("toy-algo", seed=5)
-    assert [ev.failed for ev in hist.evaluations] == [True, False, True]
-    assert hist.seed == 5 and hist.algorithm_name == "toy-algo"
+    assert log.evaluations.failed.tolist() == [True, False, True]
+    assert log.remaining == 0
 
 
 def test_fitness_is_row_zero_of_a_one_row_batch():

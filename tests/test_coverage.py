@@ -2,14 +2,20 @@
 failure metrics, and reference-set construction with persistence."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from failcover import coverage
-from failcover.core import Evaluation, RunHistory, SearchSpace
+from failcover.core import RunLog
 from failcover.coverage import (
     CidParams,
+    ConvergenceCheckpoint,
+    ConvergenceSeries,
     EmptyReferenceSetError,
     ReferenceSetIntegrityError,
     build_reference_set,
@@ -40,18 +46,15 @@ def brute_force_cid(A, Z, p=2.0, q=1.0):
     return total ** (1.0 / q) / len(Z)
 
 
-def fake_history(inputs, failed, generations=None) -> RunHistory:
-    evaluations = [
-        Evaluation(
-            index=i,
-            input=np.asarray(x, dtype=float),
-            fitness=np.zeros(1),
-            failed=bool(f),
-            generation=0 if generations is None else generations[i],
-        )
-        for i, (x, f) in enumerate(zip(inputs, failed))
-    ]
-    return RunHistory("fake", "fake", "Large", 0, evaluations)
+def fake_history(inputs, failed) -> RunLog:
+    """A two_ball run log whose 2-D inputs and verdicts are given, not evaluated."""
+    n = len(failed)
+    log = RunLog(get_problem("two_ball", "Large"), budget=max(n, 1))
+    rows = log.table[:n]
+    rows.input = np.asarray(inputs, dtype=float).reshape(n, 2)
+    rows.failed = failed
+    log.used = n
+    return log
 
 
 # --- cid formula -------------------------------------------------------------------
@@ -136,16 +139,6 @@ def test_cid_perturbing_covered_point_raises_above_zero():
     A = Z.copy()
     A[4] += 1e-6
     assert cid(A, Z) > 0.0
-
-
-def test_cid_normalization_flag():
-    space = SearchSpace(((0.0, 10.0), (0.0, 1.0)))
-    A = np.array([[0.0, 0.0]])
-    Z = np.array([[10.0, 0.0], [0.0, 1.0]])
-    raw = cid(A, Z)
-    normalized = cid(A, Z, normalize_space=space)
-    assert raw == pytest.approx((10.0 + 1.0) / 2.0)
-    assert normalized == pytest.approx(1.0)  # both axes rescale to unit length
 
 
 def test_cid_params_validation():
@@ -244,6 +237,102 @@ def test_failure_count_examples():
     assert failure_count(fake_history([[0.0, 0.0]] * 10, [True] * 10)) == 10
     flags = [True, False, True, False, True]
     assert failure_count(fake_history([[0.0, 0.0]] * 5, flags)) == sum(flags) == 3
+
+
+# The list-based metrics that read one Python object per evaluation, verbatim
+# but for their names; the column operations must give the same values.
+
+
+def list_convergence_series(
+    history,
+    reference,
+    params: CidParams = CidParams(),
+    interval: int = 100,
+) -> ConvergenceSeries:
+    if interval < 1:
+        raise ValueError(f"checkpoint interval must be positive, got {interval}")
+    Z = coverage._as_points(reference, "reference set")
+    if len(Z) == 0:
+        raise ValueError("reference set is empty; CID needs at least one reference point")
+    n = len(history.evaluations)
+    marks = list(range(interval, n + 1, interval))
+    if not marks or marks[-1] != n:
+        marks.append(n)
+
+    best = np.full(len(Z), np.inf)
+    failures = 0
+    cursor = 0
+    checkpoints = []
+    for mark in marks:
+        fresh = [ev.input for ev in history.evaluations[cursor:mark] if ev.failed]
+        cursor = mark
+        if fresh:
+            failures += len(fresh)
+            d = cdist(Z, np.array(fresh), metric="minkowski", p=params.p).min(axis=1)
+            best = np.minimum(best, d)
+        value = coverage._aggregate(best, params.q, len(Z)) if failures else None
+        checkpoints.append(
+            ConvergenceCheckpoint(evaluations_used=mark, cid=value, failures_so_far=failures)
+        )
+    return ConvergenceSeries(checkpoints=tuple(checkpoints))
+
+
+def list_failure_count(history) -> int:
+    return sum(1 for ev in history.evaluations if ev.failed)
+
+
+def list_first_failure_iteration(history, batch_size: int) -> int | None:
+    if batch_size < 1:
+        raise ValueError(f"batch size must be positive, got {batch_size}")
+    for ev in history.evaluations:
+        if ev.failed:
+            return ev.index // batch_size + 1
+    return None
+
+
+def assert_metrics_match_the_list_versions(inputs, failed, Z, params, interval, batch_size):
+    columns = fake_history(inputs, failed)
+    objects = SimpleNamespace(evaluations=[
+        SimpleNamespace(index=i, input=np.asarray(x, dtype=float), failed=bool(f))
+        for i, (x, f) in enumerate(zip(inputs, failed))
+    ])
+    got = convergence_series(columns, Z, params, interval)
+    want = list_convergence_series(objects, Z, params, interval)
+    assert got == want
+    assert failure_count(columns) == list_failure_count(objects)
+    assert (first_failure_iteration(columns, batch_size)
+            == list_first_failure_iteration(objects, batch_size))
+
+
+@pytest.mark.parametrize("failed, interval", [
+    ([False] * 12, 5),  # no failures
+    ([False] * 11 + [True], 5),  # a failure only in the last row
+    ([True, False, True, True, False], 9),  # an interval larger than n
+    ([], 3),  # an empty log
+])
+def test_metrics_match_the_list_versions_on_edge_cases(failed, interval):
+    rng = make_rng(48)
+    inputs = rng.uniform(0, 1, size=(len(failed), 2))
+    Z = rng.uniform(0, 1, size=(7, 2))
+    assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(), interval, 4)
+
+
+@given(
+    data=st.data(),
+    n=st.integers(0, 60),
+    interval=st.integers(1, 80),
+    batch_size=st.integers(1, 70),
+    p=st.sampled_from([1.0, 2.0, 3.5]),
+    q=st.sampled_from([1.0, 2.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_metrics_match_the_list_versions(data, n, interval, batch_size, p, q):
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    inputs = data.draw(st.lists(st.lists(unit, min_size=2, max_size=2), min_size=n, max_size=n))
+    failed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    Z = data.draw(st.lists(st.lists(unit, min_size=2, max_size=2), min_size=1, max_size=9))
+    assert_metrics_match_the_list_versions(np.array(inputs).reshape(n, 2), failed, np.array(Z),
+                                           CidParams(p=p, q=q), interval, batch_size)
 
 
 # --- reference sets -----------------------------------------------------------------------

@@ -249,6 +249,68 @@ def test_algorithm_size_fields_must_be_integers(name, field, value):
 
 
 @pytest.mark.parametrize(
+    "name, params, field",
+    [
+        ("nsga2", {"sbx_eta": -1}, "sbx_eta"),  # once a ZeroDivisionError mid-run
+        ("nsga2", {"pm_eta": -1}, "pm_eta"),
+        ("nsga2", {"sbx_eta": float("nan")}, "sbx_eta"),  # once "outside the search space"
+        ("nsga2", {"pm_eta": float("inf")}, "pm_eta"),
+        ("nsga2", {"crossover_rate": True}, "crossover_rate"),
+        ("nsga2d", {"mutation_rate": False}, "mutation_rate"),
+        ("nsga2d", {"archive_threshold": float("nan")}, "archive_threshold"),  # once ran silently
+        ("nsga2d", {"archive_threshold": 0}, "archive_threshold"),
+        ("nsga2d", {"repopulation_fraction": float("nan")}, "repopulation_fraction"),
+        ("omopso", {"c_min": float("nan")}, "c_min"),  # once an OverflowError mid-run
+        ("omopso", {"c_min": 3, "c_max": 1}, "c_min"),  # once a ValueError mid-run
+        ("omopso", {"c_min": 0}, "c_min"),
+        ("omopso", {"c_max": float("inf")}, "c_max"),
+        ("omopso", {"w_min": float("nan")}, "w_min"),
+        ("omopso", {"mutation_rate": True}, "mutation_rate"),
+    ],
+)
+def test_algorithm_float_fields_are_checked_at_parse(name, params, field):
+    raw = make_config(algorithms=[{"name": name, "params": params}])
+    with pytest.raises(ConfigError, match=rf"config\.algorithms\[0\]\.params: .*{field}"):
+        parse_config(raw)
+
+
+def test_cli_run_exits_1_on_a_negative_distribution_index(tmp_path, capsys):
+    raw = make_config(algorithms=[{"name": "nsga2", "params": {"sbx_eta": -1}}])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert "sbx_eta must be >= 0" in capsys.readouterr().err
+
+
+def test_algorithm_float_fields_accept_their_boundaries():
+    params = {"population_size": 20, "sbx_eta": 0, "pm_eta": 0.0, "crossover_rate": 1,
+              "mutation_rate": 0}
+    assert len(harness.run_algorithm("nsga2", get_problem("two_ball", "Large"), 200, 1,
+                                     params)) == 200
+    omopso = {"swarm_size": 20, "c_min": 1.5, "c_max": 1.5}
+    assert len(harness.run_algorithm("omopso", get_problem("two_ball", "Large"), 60, 1,
+                                     omopso)) == 60
+
+
+@pytest.mark.parametrize("params", [[["k", 8]], [], "k"])
+def test_refset_params_must_be_a_mapping(tmp_path, capsys, params):
+    raw = make_config(refset={"strategy": "grid", "params": params})
+    with pytest.raises(ConfigError,
+                       match=r"config\.refset: grid sampler: params must be a mapping"):
+        parse_config(raw)
+    problem = get_problem("two_ball", "Large")
+    with pytest.raises(ValueError, match="params must be a mapping"):
+        harness.build_reference_set(problem, {"strategy": "grid", "params": params},
+                                    cache_dir=tmp_path / "refsets")
+    assert cli_main([
+        "refset", "--problem", "two_ball", "--strategy", "grid",
+        "--params", json.dumps(params), "--out", str(tmp_path / "ref.csv"),
+    ]) == 1
+    assert "params must be a mapping" in capsys.readouterr().err
+    assert not (tmp_path / "ref.csv").exists()
+
+
+@pytest.mark.parametrize(
     "overrides, path",
     [
         ({"algorithms": [5]}, r"config\.algorithms\[0\]"),

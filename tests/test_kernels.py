@@ -35,7 +35,7 @@ from failcover.algorithms.nsga2 import (
     novelty_distances,
     rank_and_crowd,
 )
-from failcover.core import ProblemDefinition, RunHistory, RunLog, SearchSpace, unit_box
+from failcover.core import ProblemDefinition, RunLog, SearchSpace, unit_box
 from failcover.coverage import _cache_key
 from failcover.problems import _AVP_TARGET, TWO_REGION_BOXES, VARIANTS, get_problem
 from failcover.samplers import (
@@ -386,7 +386,7 @@ def two_loop_environmental_selection(fitness: np.ndarray, mu: int) -> list[int]:
     return chosen
 
 
-def two_loop_run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> RunHistory:
+def two_loop_run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> RunLog:
     """NSGA-II with LHS initialization, binary tournaments, SBX and polynomial mutation.
 
     Emits exactly ``config.budget`` evaluations; a final partial generation is
@@ -397,7 +397,7 @@ def two_loop_run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: in
     space = problem.space
 
     population = lhs_sample(space, config.population_size, rng)
-    fitness = np.array([log.evaluate(x).fitness for x in population])
+    fitness = np.array([log.evaluate(x) for x in population])
     ranks, crowding = rank_and_crowd(fitness)
 
     while log.remaining > 0:
@@ -409,7 +409,7 @@ def two_loop_run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: in
             if log.remaining <= 0:
                 break
             evaluated.append(child)
-            child_fitness.append(log.evaluate(child).fitness)
+            child_fitness.append(log.evaluate(child))
         combined = np.concatenate([population, np.array(evaluated)])
         combined_fitness = np.concatenate([fitness, np.array(child_fitness)])
         survivors = two_loop_environmental_selection(combined_fitness, config.population_size)
@@ -417,10 +417,10 @@ def two_loop_run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: in
         fitness = combined_fitness[survivors]
         ranks, crowding = rank_and_crowd(fitness)
 
-    return log.history("nsga2", seed)
+    return log
 
 
-def two_loop_run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> RunHistory:
+def two_loop_run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: int) -> RunLog:
     """Diversified NSGA-II: novelty objective, failure archive, repopulation.
 
     Selection and sorting see an extra minimized objective, minus the distance
@@ -438,11 +438,12 @@ def two_loop_run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: i
     pending_failures: list[np.ndarray] = []
 
     def record(x: np.ndarray, novelty: float) -> np.ndarray:
-        ev = log.evaluate(x)
+        f = log.evaluate(x)
+        ev = log.evaluations[-1]
         ev.novelty = float(novelty)
         if ev.failed:
             pending_failures.append(ev.input)
-        return ev.fitness
+        return f
 
     def commit_failures() -> None:
         for failure in pending_failures:
@@ -492,20 +493,16 @@ def two_loop_run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: i
         commit_failures()
         ranks, crowding = rank_and_crowd(augmented(population, fitness))
 
-    return log.history("nsga2d", seed)
+    return log
 
 
-def assert_same_history(got: RunHistory, want: RunHistory) -> None:
-    assert (got.algorithm_name, got.problem_name, got.oracle_label, got.seed) == (
-        want.algorithm_name, want.problem_name, want.oracle_label, want.seed)
-    assert len(got) == len(want)
-    for column in ("input", "fitness"):
-        a = np.array([getattr(ev, column) for ev in got.evaluations])
-        b = np.array([getattr(ev, column) for ev in want.evaluations])
-        assert a.shape == b.shape and (a == b).all()
-    for column in ("index", "failed", "generation", "novelty"):
-        assert [getattr(ev, column) for ev in got.evaluations] == [
-            getattr(ev, column) for ev in want.evaluations]
+def assert_same_history(got: RunLog, want: RunLog) -> None:
+    assert got.problem is want.problem and len(got) == len(want)
+    for column in ("input", "fitness", "failed", "generation", "novelty"):
+        a, b = got.evaluations[column], want.evaluations[column]
+        assert a.dtype == b.dtype and a.shape == b.shape
+        same = (a == b) | (np.isnan(a) & np.isnan(b)) if column == "novelty" else a == b
+        assert same.all()
 
 
 #: (population, budget): the budgets end between generations (nsga2 at 20,
