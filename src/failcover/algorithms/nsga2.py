@@ -10,6 +10,7 @@ for fresh uniform samples each generation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,10 +160,11 @@ def environmental_selection(
 
 
 def binary_tournament(
-    rng: np.random.Generator, ranks: np.ndarray, crowding: np.ndarray
+    rng: np.random.Generator, ranks: Sequence[int], crowding: Sequence[float]
 ) -> int:
     """Pick the better of two random individuals: lower rank, then higher crowding."""
-    i, j = (int(v) for v in rng.integers(len(ranks), size=2))
+    # Two scalar draws: the values and state of one integers(n, size=2), at half the cost.
+    i, j = int(rng.integers(len(ranks))), int(rng.integers(len(ranks)))
     if ranks[i] != ranks[j]:
         return i if ranks[i] < ranks[j] else j
     if crowding[i] != crowding[j]:
@@ -172,57 +174,51 @@ def binary_tournament(
 
 def sbx_crossover(
     space: SearchSpace,
-    p1: np.ndarray,
-    p2: np.ndarray,
+    p1: Sequence[float],
+    p2: Sequence[float],
     rate: float,
     eta: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover; with probability 1 - rate the parents pass through."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if p1.shape != p2.shape:
+) -> tuple[list[float], list[float]]:
+    """Simulated binary crossover into two float lists; with probability 1 - rate
+    the parents pass through as copies."""
+    if len(p1) != len(p2):
         raise ValueError("parents must share a dimensionality")
     if rng.random() >= rate:
-        return p1.copy(), p2.copy()
-    c1 = np.empty_like(p1)
-    c2 = np.empty_like(p2)
-    for j in range(len(p1)):
+        return list(p1), list(p2)
+    exponent = 1.0 / (eta + 1.0)
+    c1, c2 = [], []
+    for a, b in zip(p1, p2):
         u = rng.random()
-        if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (eta + 1.0))
-        else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
-        c1[j] = 0.5 * ((1.0 + beta) * p1[j] + (1.0 - beta) * p2[j])
-        c2[j] = 0.5 * ((1.0 - beta) * p1[j] + (1.0 + beta) * p2[j])
+        beta = (2.0 * u) ** exponent if u <= 0.5 else (1.0 / (2.0 * (1.0 - u))) ** exponent
+        c1.append(0.5 * ((1.0 + beta) * a + (1.0 - beta) * b))
+        c2.append(0.5 * ((1.0 - beta) * a + (1.0 + beta) * b))
     return space.clip(c1), space.clip(c2)
 
 
 def polynomial_mutation(
     space: SearchSpace,
-    x: np.ndarray,
+    x: Sequence[float],
     rate: float,
     eta: float,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Deb's polynomial mutation, applied per variable with probability ``rate``."""
-    y = np.array(x, dtype=float)
-    lows, highs = space.lows, space.highs
-    for j in range(len(y)):
+) -> list[float]:
+    """Deb's polynomial mutation of a point in the box, applied per variable with
+    probability ``rate``; returns a float list."""
+    power = eta + 1.0
+    exponent = 1.0 / power
+    y = list(x)
+    for j, (lo, hi) in enumerate(space.bounds):
         if rng.random() >= rate:
             continue
-        width = highs[j] - lows[j]
+        width = hi - lo
         u = rng.random()
         if u < 0.5:
-            rel = (y[j] - lows[j]) / width
-            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - rel) ** (eta + 1.0)) ** (
-                1.0 / (eta + 1.0)
-            ) - 1.0
+            rel = (y[j] - lo) / width
+            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - rel) ** power) ** exponent - 1.0
         else:
-            rel = (highs[j] - y[j]) / width
-            delta = 1.0 - (
-                2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - rel) ** (eta + 1.0)
-            ) ** (1.0 / (eta + 1.0))
+            rel = (hi - y[j]) / width
+            delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - rel) ** power) ** exponent
         y[j] += delta * width
     return space.clip(y)
 
@@ -291,21 +287,22 @@ def _make_offspring(
     crowding: np.ndarray,
     config: Nsga2Config,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
-    offspring: list[np.ndarray] = []
+) -> np.ndarray:
+    """One generation of children, made on float lists and returned as one array."""
+    parents, ranks, crowding = population.tolist(), ranks.tolist(), crowding.tolist()
+    offspring: list[list[float]] = []
     while len(offspring) < config.population_size:
         a = binary_tournament(rng, ranks, crowding)
         b = binary_tournament(rng, ranks, crowding)
         c1, c2 = sbx_crossover(
-            space, population[a], population[b], config.crossover_rate, config.sbx_eta, rng
+            space, parents[a], parents[b], config.crossover_rate, config.sbx_eta, rng
         )
-        for child in (c1, c2):
-            if len(offspring) >= config.population_size:
-                break
-            offspring.append(
-                polynomial_mutation(space, child, config.mutation_rate, config.pm_eta, rng)
-            )
-    return offspring
+        room = config.population_size - len(offspring)
+        offspring.extend(
+            polynomial_mutation(space, child, config.mutation_rate, config.pm_eta, rng)
+            for child in (c1, c2)[:room]
+        )
+    return np.array(offspring)
 
 
 def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> RunLog:
@@ -360,7 +357,7 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
 
     while log.remaining > 0:
         log.generation += 1
-        offspring = np.array(_make_offspring(space, population, ranks, crowding, config, rng))
+        offspring = _make_offspring(space, population, ranks, crowding, config, rng)
         offspring, child_fitness = evaluate(offspring)
         combined = np.concatenate([population, offspring])
         combined_fitness = np.concatenate([fitness, child_fitness])

@@ -9,6 +9,7 @@ thirds by particle index: uniform turbulence, non-uniform turbulence, none.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,23 @@ def reflect_boundary(
     """Mirror the position across the violated bound and invert the velocity.
 
     Repeats until the position is inside [lo, hi], which handles overshoots
-    larger than the box width.
+    larger than the box width. Raises ``ValueError`` where that never ends: an
+    infinite position, or one that two reflections bring no closer to the box
+    in floating point (reflection is monotone, so it would never get inside).
+    A NaN position passes through.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
     while position < lo or position > hi:
         if position > hi:
-            position = 2.0 * hi - position
+            mirrored = 2.0 * hi - position
+            stuck = 2.0 * lo - mirrored >= position
         else:
-            position = 2.0 * lo - position
-        velocity = -velocity
+            mirrored = 2.0 * lo - position
+            stuck = 2.0 * hi - mirrored <= position
+        if stuck:
+            raise ValueError(f"cannot reflect position {position!r} into [{lo}, {hi}]")
+        position, velocity = mirrored, -velocity
     return position, velocity
 
 
@@ -143,7 +151,7 @@ class LeaderArchive:
             raise ValueError("cannot select a leader from an empty archive")
         if len(self) == 1:
             return self.positions[0]
-        i, j = (int(v) for v in rng.integers(len(self), size=2))
+        i, j = int(rng.integers(len(self))), int(rng.integers(len(self)))
         if self._crowding is None:
             self._crowding = crowding_distance(self.fitness)
         crowd = self._crowding
@@ -154,100 +162,89 @@ class LeaderArchive:
 
 def _uniform_turbulence(
     space: SearchSpace,
-    x: np.ndarray,
+    x: Sequence[float],
     rate: float,
     rng: np.random.Generator,
     perturbation: float = 0.5,
-) -> np.ndarray:
+) -> list[float]:
     """Constant-width jitter: +/- perturbation/2 of the axis width per mutated variable."""
-    y = np.array(x, dtype=float)
-    widths = space.widths
-    for j in range(len(y)):
+    y = list(x)
+    for j, (lo, hi) in enumerate(space.bounds):
         if rng.random() < rate:
-            y[j] += (rng.random() - 0.5) * perturbation * widths[j]
+            y[j] += (rng.random() - 0.5) * perturbation * (hi - lo)
     return space.clip(y)
 
 
 def _nonuniform_turbulence(
     space: SearchSpace,
-    x: np.ndarray,
+    x: Sequence[float],
     rate: float,
     rng: np.random.Generator,
     progress: float,
     shape: float = 5.0,
-) -> np.ndarray:
+) -> list[float]:
     """Time-decaying jitter: perturbations shrink as the budget is consumed."""
-    y = np.array(x, dtype=float)
-    lows, highs = space.lows, space.highs
-    for j in range(len(y)):
+    y = list(x)
+    for j, (lo, hi) in enumerate(space.bounds):
         if rng.random() >= rate:
             continue
         step = 1.0 - rng.random() ** ((1.0 - progress) ** shape)
         if rng.random() < 0.5:
-            y[j] += (highs[j] - y[j]) * step
+            y[j] += (hi - y[j]) * step
         else:
-            y[j] -= (y[j] - lows[j]) * step
+            y[j] -= (y[j] - lo) * step
     return space.clip(y)
 
 
 def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> RunLog:
-    """Swarm search with a crowding-distance leader archive."""
+    """Swarm search with a crowding-distance leader archive; particles step on Python floats."""
     rng = make_rng(seed)
     log = RunLog(problem, config.budget)
     space = problem.space
     swarm = config.swarm_size
+    # c_min + c_span * rng.random() is rng.uniform(c_min, c_max), at a third of the cost.
+    c_min, c_span = float(config.c_min), float(config.c_max) - float(config.c_min)
 
-    positions = rng.uniform(space.lows, space.highs, size=(swarm, space.dims))
-    velocities = np.zeros_like(positions)
-    fitness = np.array([log.evaluate(x) for x in positions])
-    pbest_pos = positions.copy()
-    pbest_fit = fitness.copy()
-
+    positions = rng.uniform(space.lows, space.highs, size=(swarm, space.dims)).tolist()
+    pbest_fit = np.array([log.evaluate(x) for x in positions])
     archive = LeaderArchive(config.effective_archive_size)
-    for i in range(swarm):
-        archive.add(positions[i], fitness[i])
+    for x, f in zip(positions, pbest_fit):
+        archive.add(x, f)
+    velocities = [[0.0] * space.dims for _ in range(swarm)]
+    pbest_pos = list(positions)  # rows are replaced, never changed in place
 
     while log.remaining > 0:
         log.generation += 1
         w = inertia_at(log.used, config.budget, config.w_min, config.w_max)
         progress = log.used / config.budget
-        for i in range(swarm):
-            if log.remaining <= 0:
-                break
-            leader = archive.select_leader(rng)
-            c1 = rng.uniform(config.c_min, config.c_max)
-            c2 = rng.uniform(config.c_min, config.c_max)
+        for i in range(min(swarm, log.remaining)):
+            leader = archive.select_leader(rng).tolist()
+            c1 = c_min + c_span * rng.random()
+            c2 = c_min + c_span * rng.random()
             r1 = rng.random()
             r2 = rng.random()
-            velocities[i] = (
-                w * velocities[i]
-                + c1 * r1 * (pbest_pos[i] - positions[i])
-                + c2 * r2 * (leader - positions[i])
-            )
-            positions[i] = positions[i] + velocities[i]
-            for j, (lo, hi) in enumerate(space.bounds):
-                positions[i, j], velocities[i, j] = reflect_boundary(
-                    positions[i, j], velocities[i, j], lo, hi
-                )
+            position, velocity = [], []
+            for x, v, best, lead, (lo, hi) in zip(
+                positions[i], velocities[i], pbest_pos[i], leader, space.bounds
+            ):
+                v = w * v + c1 * r1 * (best - x) + c2 * r2 * (lead - x)
+                x, v = reflect_boundary(x + v, v, lo, hi)
+                position.append(x)
+                velocity.append(v)
+            velocities[i] = velocity
             if i % 3 == 0:
-                positions[i] = _uniform_turbulence(
-                    space, positions[i], config.mutation_rate, rng
-                )
+                position = _uniform_turbulence(space, position, config.mutation_rate, rng)
             elif i % 3 == 1:
-                positions[i] = _nonuniform_turbulence(
-                    space, positions[i], config.mutation_rate, rng, progress
+                position = _nonuniform_turbulence(
+                    space, position, config.mutation_rate, rng, progress
                 )
-            f = log.evaluate(positions[i])
-            fitness[i] = f
-            if dominates(f, pbest_fit[i]):
-                replace = True
-            elif dominates(pbest_fit[i], f):
-                replace = False
-            else:
-                replace = rng.random() < 0.5
-            if replace:
-                pbest_pos[i] = positions[i].copy()
-                pbest_fit[i] = f.copy()
-            archive.add(positions[i], f)
+            positions[i] = position
+            f = log.evaluate(position)
+            if dominates(f, pbest_fit[i]) or (
+                not dominates(pbest_fit[i], f) and rng.random() < 0.5
+            ):
+                pbest_pos[i] = position
+                pbest_fit[i] = f
+            archive.add(position, f)
 
     return log

@@ -26,11 +26,14 @@ def run_random_search(
 
     The generation index floor(index / batch_size) makes iteration counts
     comparable with population-based algorithms run at that population size.
+    Each pseudo-generation is one ``(k, dims)`` draw, the same doubles as k one-row draws.
     """
     rng = make_rng(seed)
     log = RunLog(problem, config.budget)
     space = problem.space
     while log.remaining > 0:
         log.generation = log.used // config.batch_size
-        log.evaluate(rng.uniform(space.lows, space.highs))
+        k = min(config.batch_size, log.remaining)
+        for x in rng.uniform(space.lows, space.highs, size=(k, space.dims)):
+            log.evaluate(x)
     return log

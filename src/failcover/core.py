@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import sys
@@ -100,8 +101,10 @@ class SearchSpace:
             return False
         return bool(((x >= self.lows) & (x <= self.highs)).all())
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
+    def clip(self, x: Sequence[float]) -> list[float]:
+        """The values of ``np.clip(x, lows, highs)`` as a float list, ties and NaN included."""
+        bounds = zip(x, self.bounds, strict=True)
+        return [lo if v <= lo else hi if v >= hi else v for v, (lo, hi) in bounds]
 
 
 def unit_box(dims: int) -> SearchSpace:
@@ -191,7 +194,7 @@ class ProblemDefinition:
                 f"{self.name}: fitness_batch returned shape {f.shape} for one input, "
                 f"expected (1, {self.objective_count})"
             )
-        if not np.isfinite(f).all():
+        if not all(map(math.isfinite, f[0].tolist())):
             raise ValueError(f"{self.name}: fitness is not finite for input {x!r}")
         return f[0]
 

@@ -1,10 +1,16 @@
 """Algorithm machinery: sorting, crowding, variation operators, novelty archive,
 swarm mechanics, budget exactness, and seeded determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import failcover
 
 from failcover.algorithms import (
     LeaderArchive,
@@ -346,6 +352,27 @@ def test_reflect_boundary_examples(x, v, expected):
 
 def test_reflect_inside_untouched():
     assert reflect_boundary(0.4, -0.2, 0.0, 1.0) == (0.4, -0.2)
+
+
+def test_reflect_boundary_raises_where_reflection_never_ends():
+    # Run in a child process: a reflection loop that never ends cannot be
+    # interrupted from inside the test process.
+    code = """
+from failcover.algorithms import reflect_boundary
+for position in ("inf", "-inf", "1e17", "-1e17", "1e300"):
+    try:
+        reflect_boundary(float(position), 0.0, 0.0, 1.0)
+    except ValueError as err:
+        print(err)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(failcover.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"cannot reflect position {p} into [0.0, 1.0]"
+        for p in ("inf", "-inf", "1e+17", "-1e+17", "1e+300")
+    ]
 
 
 def test_inertia_schedule():

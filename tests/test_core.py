@@ -1,5 +1,7 @@
 """Core model: dominance, oracles, search spaces, and the run log."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,27 @@ def test_search_space_contains_and_clip():
     assert not space.contains(np.array([0.5]))
     np.testing.assert_allclose(space.clip(np.array([1.5, -3.0])), [1.0, -1.0])
     np.testing.assert_allclose(space.center, [0.5, 0.5])
+
+
+#: Values on, inside and outside the bounds below, both zeros, infinities and NaN.
+CLIP_VALUES = [-math.inf, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-2.0, 2.0)]
+)
+def test_clip_equals_np_clip_on_ties_signed_zeros_and_nan(lo, hi):
+    # The reference is the earlier array clip, np.clip against the bound arrays:
+    # it returns the bound on a tie (-0.0 at a lower bound of 0.0 becomes 0.0)
+    # and keeps NaN, which the bounds check in RunLog.evaluate then rejects.
+    # np.clip with scalar bounds keeps the value on a tie instead.
+    space = SearchSpace(((lo, hi),) * len(CLIP_VALUES))
+    got = space.clip(CLIP_VALUES)
+    assert all(type(v) is float for v in got)
+    want = np.clip(np.array(CLIP_VALUES), space.lows, space.highs)
+    assert np.array(got).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        space.clip(CLIP_VALUES[:-1])
 
 
 # --- evaluation log -----------------------------------------------------------

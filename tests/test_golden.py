@@ -17,9 +17,11 @@ from failcover.harness import parse_config, run_experiment
 from failcover.problems import get_problem
 
 
-def golden_config(problem: str, algorithm: str, params: dict, k: int, budget: int = 400) -> dict:
+def golden_config(
+    problem: str, algorithm: str, params: dict, k: int, budget: int = 400, variant: str = "Large"
+) -> dict:
     return {
-        "problem": {"name": problem, "variant": "Large"},
+        "problem": {"name": problem, "variant": variant},
         "algorithms": [{"name": algorithm, "params": params}],
         "budget": budget,
         "repetitions": 1,
@@ -33,6 +35,12 @@ GOLDEN = {
         golden_config("two_ball", "rs", {}, 64),
         "bd49b77e371eeb810b02ab34bc0166df26094e7270b88ae26f1cd8b7fd87beac",
         "cdd5b9b4b0cfce94dae7b4f13d9f48cb4cc15ea5e4a7c45232b5f657cedb86f7",
+    ),
+    # 61 * 7 + 3: the budget runs out three draws into the last block.
+    "two_ball-rs-uneven-blocks": (
+        golden_config("two_ball", "rs", {"batch_size": 7}, 64, budget=430),
+        "702c86f7527d08ad076cfefcf2b28e14ea60ee34975239f89990773c811a6801",
+        "ff2d4ac0c80fca4180c8aaf3b44ab850408ea3cb1b3fd7fbb53c70baca96a01e",
     ),
     "two_ball-nsga2": (
         golden_config("two_ball", "nsga2", {}, 64),
@@ -61,6 +69,13 @@ GOLDEN = {
         golden_config("two_ball", "omopso", {}, 64),
         "48b4cf3dfa4b215aae7217f65b63588b6f12fe643f094ea139dc7795cc6241c7",
         "214b197b88e0a0195f173ef6f73016718d7cd974d898b3c44fc8ccd46e8895b9",
+    ),
+    # Thirds of 3, 2 and 2 particles, a last pass cut after its first particle,
+    # and 58 reflected variables where two_ball-omopso has 33.
+    "two_ball-omopso-small-swarm": (
+        golden_config("two_ball", "omopso", {"swarm_size": 7}, 64, variant="Small"),
+        "a95ee4d8e7a6b2dd66538726cb3d189b8f3d403ff9b21058d6b26fa6c95b0acd",
+        "1aaacdd9e8862f6b5ac15af25322a0341ad78df8234d046be377cefe69caadbc",
     ),
     # An archive of 10 under a swarm of 40 overflows on nearly every insert,
     # so this pins the crowding eviction order.

@@ -1,14 +1,18 @@
 """The Poisson-disc, furthest-point, non-dominated-sort and problem-fitness
-kernels, environmental selection and the NSGA-II run loop against the
+kernels, environmental selection, the NSGA-II variation and OMOPSO swarm
+operators, and the NSGA-II, random-search and OMOPSO run loops against the
 implementations they replaced.
 
 ``dict_grid_poisson``, ``loop_fps``, ``broadcast_sort``, the ``stack_*``
-fitness functions and the ``two_loop_*`` NSGA-II functions are the earlier
-versions, copied verbatim, kept here as references: the kernels must return
-exactly the same points, fronts, fitness and run histories, compared with
-``==``, and the samplers must leave their generator in the same state (same
-draws, same order). The ``two_loop_*`` copies differ from the originals only
-in the names they call each other by.
+fitness functions, the ``two_loop_*`` NSGA-II functions, the ``array_*``
+operators and run loop, ``SizeTwoDrawArchive``, ``loop_reflect_boundary`` and
+``one_row_run_random_search`` are the earlier versions, copied verbatim, kept
+here as references: the kernels must return exactly the same points, fronts,
+fitness, children and run histories, compared with ``==`` (and byte for byte
+where -0.0 can arise), and must leave their generator in the same state (same
+draws, same order).
+The copies differ from the originals only in the names they call each other
+by.
 """
 
 import math
@@ -20,11 +24,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failcover.algorithms import (
+    LeaderArchive,
     Nsga2Config,
     NsgaDConfig,
+    OmopsoConfig,
+    RandomSearchConfig,
+    binary_tournament,
     environmental_selection,
     fast_nondominated_sort,
+    inertia_at,
+    polynomial_mutation,
+    reflect_boundary,
     run_nsga2,
+    run_omopso,
+    run_random_search,
+    sbx_crossover,
 )
 from failcover.algorithms.nsga2 import (
     NoveltyArchive,
@@ -35,7 +49,8 @@ from failcover.algorithms.nsga2 import (
     novelty_distances,
     rank_and_crowd,
 )
-from failcover.core import ProblemDefinition, RunLog, SearchSpace, unit_box
+from failcover.algorithms.omopso import _nonuniform_turbulence, _uniform_turbulence
+from failcover.core import ProblemDefinition, RunLog, SearchSpace, dominates, unit_box
 from failcover.coverage import _cache_key
 from failcover.problems import _AVP_TARGET, TWO_REGION_BOXES, VARIANTS, get_problem
 from failcover.samplers import (
@@ -503,6 +518,7 @@ def assert_same_history(got: RunLog, want: RunLog) -> None:
         assert a.dtype == b.dtype and a.shape == b.shape
         same = (a == b) | (np.isnan(a) & np.isnan(b)) if column == "novelty" else a == b
         assert same.all()
+        assert a.tobytes() == b.tobytes()  # -0.0 and 0.0 compare equal, bytes do not
 
 
 #: (population, budget): the budgets end between generations (nsga2 at 20,
@@ -541,3 +557,400 @@ def test_environmental_selection_returns_the_survivors_ranks_and_crowding(fitnes
         assert crowding.tobytes() == want_crowding.tobytes()
         if mu in exact_fits:
             assert sorted(survivors) == sorted(i for f in fronts[: ranks.max() + 1] for i in f)
+
+
+# --- variation and swarm operators on float lists -----------------------------------
+#
+# The ``array_*`` functions, ``SizeTwoDrawArchive.select_leader``,
+# ``loop_reflect_boundary`` and the two run loops below are the array-based
+# versions the float-list operators replaced, copied verbatim; they differ only
+# in the names they call each other by, and ``array_clip`` is the array
+# ``SearchSpace.clip`` they called.
+
+
+def array_clip(space: SearchSpace, x: np.ndarray) -> np.ndarray:
+    return np.clip(np.asarray(x, dtype=float), space.lows, space.highs)
+
+
+def array_binary_tournament(
+    rng: np.random.Generator, ranks: np.ndarray, crowding: np.ndarray
+) -> int:
+    """Pick the better of two random individuals: lower rank, then higher crowding."""
+    i, j = (int(v) for v in rng.integers(len(ranks), size=2))
+    if ranks[i] != ranks[j]:
+        return i if ranks[i] < ranks[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i
+
+
+def array_sbx_crossover(
+    space: SearchSpace,
+    p1: np.ndarray,
+    p2: np.ndarray,
+    rate: float,
+    eta: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover; with probability 1 - rate the parents pass through."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    if p1.shape != p2.shape:
+        raise ValueError("parents must share a dimensionality")
+    if rng.random() >= rate:
+        return p1.copy(), p2.copy()
+    c1 = np.empty_like(p1)
+    c2 = np.empty_like(p2)
+    for j in range(len(p1)):
+        u = rng.random()
+        if u <= 0.5:
+            beta = (2.0 * u) ** (1.0 / (eta + 1.0))
+        else:
+            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+        c1[j] = 0.5 * ((1.0 + beta) * p1[j] + (1.0 - beta) * p2[j])
+        c2[j] = 0.5 * ((1.0 - beta) * p1[j] + (1.0 + beta) * p2[j])
+    return array_clip(space, c1), array_clip(space, c2)
+
+
+def array_polynomial_mutation(
+    space: SearchSpace,
+    x: np.ndarray,
+    rate: float,
+    eta: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Deb's polynomial mutation, applied per variable with probability ``rate``."""
+    y = np.array(x, dtype=float)
+    lows, highs = space.lows, space.highs
+    for j in range(len(y)):
+        if rng.random() >= rate:
+            continue
+        width = highs[j] - lows[j]
+        u = rng.random()
+        if u < 0.5:
+            rel = (y[j] - lows[j]) / width
+            delta = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - rel) ** (eta + 1.0)) ** (
+                1.0 / (eta + 1.0)
+            ) - 1.0
+        else:
+            rel = (highs[j] - y[j]) / width
+            delta = 1.0 - (
+                2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - rel) ** (eta + 1.0)
+            ) ** (1.0 / (eta + 1.0))
+        y[j] += delta * width
+    return array_clip(space, y)
+
+
+def array_uniform_turbulence(
+    space: SearchSpace,
+    x: np.ndarray,
+    rate: float,
+    rng: np.random.Generator,
+    perturbation: float = 0.5,
+) -> np.ndarray:
+    """Constant-width jitter: +/- perturbation/2 of the axis width per mutated variable."""
+    y = np.array(x, dtype=float)
+    widths = space.widths
+    for j in range(len(y)):
+        if rng.random() < rate:
+            y[j] += (rng.random() - 0.5) * perturbation * widths[j]
+    return array_clip(space, y)
+
+
+def array_nonuniform_turbulence(
+    space: SearchSpace,
+    x: np.ndarray,
+    rate: float,
+    rng: np.random.Generator,
+    progress: float,
+    shape: float = 5.0,
+) -> np.ndarray:
+    """Time-decaying jitter: perturbations shrink as the budget is consumed."""
+    y = np.array(x, dtype=float)
+    lows, highs = space.lows, space.highs
+    for j in range(len(y)):
+        if rng.random() >= rate:
+            continue
+        step = 1.0 - rng.random() ** ((1.0 - progress) ** shape)
+        if rng.random() < 0.5:
+            y[j] += (highs[j] - y[j]) * step
+        else:
+            y[j] -= (y[j] - lows[j]) * step
+    return array_clip(space, y)
+
+
+class SizeTwoDrawArchive(LeaderArchive):
+    def select_leader(self, rng: np.random.Generator) -> np.ndarray:
+        """Binary tournament on crowding distance (less crowded member wins)."""
+        if not len(self):
+            raise ValueError("cannot select a leader from an empty archive")
+        if len(self) == 1:
+            return self.positions[0]
+        i, j = (int(v) for v in rng.integers(len(self), size=2))
+        if self._crowding is None:
+            self._crowding = crowding_distance(self.fitness)
+        crowd = self._crowding
+        if crowd[i] == crowd[j]:
+            return self.positions[i]
+        return self.positions[i] if crowd[i] > crowd[j] else self.positions[j]
+
+
+def loop_reflect_boundary(
+    position: float, velocity: float, lo: float, hi: float
+) -> tuple[float, float]:
+    """Mirror the position across the violated bound and invert the velocity.
+
+    Repeats until the position is inside [lo, hi], which handles overshoots
+    larger than the box width.
+    """
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+    while position < lo or position > hi:
+        if position > hi:
+            position = 2.0 * hi - position
+        else:
+            position = 2.0 * lo - position
+        velocity = -velocity
+    return position, velocity
+
+
+def one_row_run_random_search(
+    problem: ProblemDefinition, config: RandomSearchConfig, seed: int
+) -> RunLog:
+    """Uniform random search; ``batch_size`` groups evaluations into pseudo-generations.
+
+    The generation index floor(index / batch_size) makes iteration counts
+    comparable with population-based algorithms run at that population size.
+    """
+    rng = make_rng(seed)
+    log = RunLog(problem, config.budget)
+    space = problem.space
+    while log.remaining > 0:
+        log.generation = log.used // config.batch_size
+        log.evaluate(rng.uniform(space.lows, space.highs))
+    return log
+
+
+def array_run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> RunLog:
+    """Swarm search with a crowding-distance leader archive."""
+    rng = make_rng(seed)
+    log = RunLog(problem, config.budget)
+    space = problem.space
+    swarm = config.swarm_size
+
+    positions = rng.uniform(space.lows, space.highs, size=(swarm, space.dims))
+    velocities = np.zeros_like(positions)
+    fitness = np.array([log.evaluate(x) for x in positions])
+    pbest_pos = positions.copy()
+    pbest_fit = fitness.copy()
+
+    archive = SizeTwoDrawArchive(config.effective_archive_size)
+    for i in range(swarm):
+        archive.add(positions[i], fitness[i])
+
+    while log.remaining > 0:
+        log.generation += 1
+        w = inertia_at(log.used, config.budget, config.w_min, config.w_max)
+        progress = log.used / config.budget
+        for i in range(swarm):
+            if log.remaining <= 0:
+                break
+            leader = archive.select_leader(rng)
+            c1 = rng.uniform(config.c_min, config.c_max)
+            c2 = rng.uniform(config.c_min, config.c_max)
+            r1 = rng.random()
+            r2 = rng.random()
+            velocities[i] = (
+                w * velocities[i]
+                + c1 * r1 * (pbest_pos[i] - positions[i])
+                + c2 * r2 * (leader - positions[i])
+            )
+            positions[i] = positions[i] + velocities[i]
+            for j, (lo, hi) in enumerate(space.bounds):
+                positions[i, j], velocities[i, j] = loop_reflect_boundary(
+                    positions[i, j], velocities[i, j], lo, hi
+                )
+            if i % 3 == 0:
+                positions[i] = array_uniform_turbulence(
+                    space, positions[i], config.mutation_rate, rng
+                )
+            elif i % 3 == 1:
+                positions[i] = array_nonuniform_turbulence(
+                    space, positions[i], config.mutation_rate, rng, progress
+                )
+            f = log.evaluate(positions[i])
+            fitness[i] = f
+            if dominates(f, pbest_fit[i]):
+                replace = True
+            elif dominates(pbest_fit[i], f):
+                replace = False
+            else:
+                replace = rng.random() < 0.5
+            if replace:
+                pbest_pos[i] = positions[i].copy()
+                pbest_fit[i] = f.copy()
+            archive.add(positions[i], f)
+
+    return log
+
+
+def assert_same_floats(got, want) -> None:
+    """Equal with ``==`` and byte for byte, so -0.0 and 0.0 count as different."""
+    assert all(type(v) is float for v in got)
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert (got == want).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_draws(rng_got: np.random.Generator, rng_want: np.random.Generator) -> None:
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+#: Axes whose bounds include 0.0 and -0.0, so ±0.0 values sit on a bound.
+AXES = [(0.0, 1.0), (-1.0, 0.0), (-0.0, 1.0), (-2.0, 3.0), (0.25, 0.75), (10.0, 11.5)]
+
+
+@st.composite
+def box_and_points(draw, count: int):
+    """A box of 1 to 8 axes and ``count`` float lists inside it, with values on the
+    bounds, ±0.0 where the box holds zero, and arbitrary values in between."""
+    bounds = draw(st.lists(st.sampled_from(AXES), min_size=1, max_size=8))
+    points = []
+    for _ in range(count):
+        point = []
+        for lo, hi in bounds:
+            special = [v for v in (lo, hi, 0.0, -0.0) if lo <= v <= hi]
+            point.append(draw(st.sampled_from(special) | st.floats(lo, hi)))
+        points.append(point)
+    return SearchSpace(tuple(bounds)), points
+
+
+RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+ETAS = st.sampled_from([0.0, 0, 15, 20.0]) | st.floats(0.0, 60.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.5, 2.0, math.inf])),
+                min_size=1, max_size=40), SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_binary_tournament_matches_size_two_draw_reference(members, seed):
+    ranks = [rank for rank, _ in members]
+    crowding = [crowd for _, crowd in members]
+    rng_got, rng_want = make_rng(seed), make_rng(seed)
+    for _ in range(20):
+        assert binary_tournament(rng_got, ranks, crowding) == array_binary_tournament(
+            rng_want, np.array(ranks), np.array(crowding)
+        )
+        assert rng_got.random() == rng_want.random()
+    assert_same_draws(rng_got, rng_want)
+
+
+@given(st.integers(1, 10**6), SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_scalar_integer_draws_match_size_two_draw(n, seed):
+    # All ranks and crowding equal: each tournament returns its first draw.
+    ranks, crowding = [0] * n, [1.0] * n
+    rng_got, rng_want = make_rng(seed), make_rng(seed)
+    for _ in range(10):
+        got = binary_tournament(rng_got, ranks, crowding)
+        assert type(got) is int
+        assert got == array_binary_tournament(rng_want, ranks, crowding)
+        assert rng_got.random() == rng_want.random()
+    assert_same_draws(rng_got, rng_want)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=30),
+       st.integers(1, 12), SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_select_leader_matches_size_two_draw_reference(fitness, capacity, seed):
+    got, want = LeaderArchive(capacity), SizeTwoDrawArchive(capacity)
+    for k, f in enumerate(fitness):
+        assert got.add([k, -k], f) == want.add([k, -k], f)
+    rng_got, rng_want = make_rng(seed), make_rng(seed)
+    for _ in range(20):
+        assert_same_floats(got.select_leader(rng_got).tolist(),
+                           want.select_leader(rng_want))
+        assert rng_got.random() == rng_want.random()
+    assert_same_draws(rng_got, rng_want)
+
+
+@given(box_and_points(2), RATES, ETAS, SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_sbx_crossover_matches_array_reference(box, rate, eta, seed):
+    space, (p1, p2) = box
+    rng_got, rng_want = make_rng(seed), make_rng(seed)
+    got = sbx_crossover(space, p1, p2, rate, eta, rng_got)
+    want = array_sbx_crossover(space, np.array(p1), np.array(p2), rate, eta, rng_want)
+    for child, reference in zip(got, want, strict=True):
+        assert_same_floats(child, reference)
+    assert_same_draws(rng_got, rng_want)
+
+
+@given(box_and_points(1), RATES, ETAS, SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_polynomial_mutation_matches_array_reference(box, rate, eta, seed):
+    space, (x,) = box
+    rng_got, rng_want = make_rng(seed), make_rng(seed)
+    got = polynomial_mutation(space, x, rate, eta, rng_got)
+    assert_same_floats(got, array_polynomial_mutation(space, np.array(x), rate, eta, rng_want))
+    assert_same_draws(rng_got, rng_want)
+
+
+@given(box_and_points(1), RATES, st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.999), SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_turbulences_match_array_reference(box, rate, progress, seed):
+    space, (x,) = box
+    rng_got, rng_want = make_rng(seed), make_rng(seed)
+    assert_same_floats(_uniform_turbulence(space, x, rate, rng_got),
+                       array_uniform_turbulence(space, np.array(x), rate, rng_want))
+    assert_same_floats(_nonuniform_turbulence(space, x, rate, rng_got, progress),
+                       array_nonuniform_turbulence(space, np.array(x), rate, rng_want, progress))
+    assert_same_draws(rng_got, rng_want)
+
+
+@given(st.sampled_from(AXES), st.floats(-6.0, 6.0) | st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+       st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]))
+@settings(max_examples=300, deadline=None)
+def test_reflect_boundary_matches_loop_reference(axis, offset, velocity):
+    # Positions up to six box widths outside either bound: the reference ends on all.
+    lo, hi = axis
+    position = (lo if offset < 0 else hi) + offset * (hi - lo)
+    got = reflect_boundary(position, velocity, lo, hi)
+    assert_same_floats(list(got), loop_reflect_boundary(position, velocity, lo, hi))
+
+
+#: (batch size, budget): the budgets end mid-batch except at (40, 2000).
+RS_RUNS = [(40, 437), (7, 430), (1, 25), (3, 100), (40, 2000)]
+
+
+@pytest.mark.parametrize("batch_size, budget", RS_RUNS)
+@pytest.mark.parametrize("problem_name", ["two_ball", "two_region", "avp_analog"])
+def test_run_random_search_matches_one_row_reference(problem_name, batch_size, budget):
+    problem = get_problem(problem_name, "Large")
+    config = RandomSearchConfig(batch_size=batch_size, budget=budget)
+    seed = batch_size + budget
+    assert_same_history(run_random_search(problem, config, seed),
+                        one_row_run_random_search(problem, config, seed))
+
+
+#: Swarm, budget and other parameters: the budgets end mid-swarm, except at
+#: (40, 400); the archive of 3 evicts on most inserts, and the equal
+#: coefficients make each draw ``c_min + 0.0 * r``.
+OMOPSO_RUNS = [
+    {"swarm_size": 7, "budget": 400},
+    {"swarm_size": 40, "budget": 437},
+    {"swarm_size": 40, "budget": 400, "archive_size": 3},
+    {"swarm_size": 1, "budget": 30},
+    {"swarm_size": 11, "budget": 300, "c_min": 1.7, "c_max": 1.7, "mutation_rate": 1.0},
+]
+
+
+@pytest.mark.parametrize("params", OMOPSO_RUNS, ids=lambda p: "-".join(map(str, p.values())))
+@pytest.mark.parametrize("variant", ["Large", "Small"])
+@pytest.mark.parametrize("problem_name", ["two_ball", "two_region", "avp_analog"])
+def test_run_omopso_matches_array_reference(problem_name, variant, params):
+    problem = get_problem(problem_name, variant)
+    config = OmopsoConfig(**params)
+    seed = params["swarm_size"] + params["budget"]
+    assert_same_history(run_omopso(problem, config, seed), array_run_omopso(problem, config, seed))
