@@ -99,7 +99,8 @@ class SearchSpace:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dims,):
             return False
-        return bool(((x >= self.lows) & (x <= self.highs)).all())
+        # Python comparisons on the same doubles: NaN fails both, as in numpy.
+        return all(lo <= v <= hi for v, (lo, hi) in zip(x.tolist(), self.bounds))
 
     def clip(self, x: Sequence[float]) -> list[float]:
         """The values of ``np.clip(x, lows, highs)`` as a float list, ties and NaN included."""

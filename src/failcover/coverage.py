@@ -163,7 +163,9 @@ def convergence_series(
         cursor = mark
         if len(fresh):
             failures += len(fresh)
-            d = cdist(Z, fresh, metric="minkowski", p=params.p).min(axis=1)
+            # Reduce along the long axis: ``(len(fresh), len(Z))`` rows hold the
+            # same doubles as ``cdist(Z, fresh).T``, so the minima are equal too.
+            d = cdist(fresh, Z, metric="minkowski", p=params.p).min(axis=0)
             best = np.minimum(best, d)
         value = _aggregate(best, params.q, len(Z)) if failures else None
         checkpoints.append(

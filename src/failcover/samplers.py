@@ -6,9 +6,13 @@ parameter check in :data:`STRATEGIES` runs in its sampler and, when a config
 is parsed, in :func:`validate_sampler_params`. Randomized strategies consume a
 PCG64 generator derived from an explicit integer seed, so identical seeds
 reproduce identical batches on the same numpy/BLAS build. Across builds the
-draws stay the same, but ``poisson`` and the grid step measure lengths with
-``np.linalg.norm`` and ``matmul``, which go through BLAS ``ddot``; a kernel
-that uses fused multiply-adds can round a length differently in the last bit.
+draws stay the same, but ``poisson`` (the length of each dart direction) and
+the grid step measure lengths with ``np.linalg.norm``, which goes through BLAS
+``ddot``; a kernel that uses fused multiply-adds can round a length
+differently in the last bit. ``poisson`` screens each neighbour with
+``math.dist`` on Python floats, which is not ``ddot`` either, so a length
+within 1e-9 of ``r`` (relative) is decided by ``ddot`` again; outside that
+band both agree on any build (see :func:`_closer_than`).
 """
 
 from __future__ import annotations
@@ -216,6 +220,32 @@ def _check_poisson(space: SearchSpace, r: float,
     _check_size(f"poisson sampler: the background grid for r={r} in {space.dims}-D", cells)
 
 
+def _closer_than(r: float) -> Callable[[list[float], list[float]], bool]:
+    """``np.linalg.norm(np.subtract(a, b)) < r`` for float lists, on the same verdicts.
+
+    ``math.dist`` and ``np.linalg.norm``'s ``sqrt(ddot)`` each lie within a
+    few ulps of the exact length, far inside a 1e-9 relative margin, so a
+    ``math.dist`` outside ``r * (1 -/+ 1e-9)`` gives the verdict by itself;
+    inside that band ``ddot`` decides. Where ``r**2`` nears the end of the
+    double range, a square in ``ddot`` can underflow or overflow, so ``ddot``
+    decides every length.
+    """
+    near, far = r * (1.0 - 1e-9), r * (1.0 + 1e-9)
+    if not 1e-290 < r * r < 1e290:
+        near, far = -math.inf, math.inf
+
+    def closer(a: list[float], b: list[float]) -> bool:
+        dist = math.dist(a, b)
+        if dist < near:
+            return True
+        if dist > far:
+            return False
+        diff = np.subtract(a, b)
+        return math.sqrt(diff.dot(diff)) < r
+
+    return closer
+
+
 def poisson_disc_sample(
     space: SearchSpace,
     r: float,
@@ -231,34 +261,31 @@ def poisson_disc_sample(
     one slice of ``2*reach+1`` cells per axis. It holds
     ``(floor(w/cell) + 1 + 2*reach)**dims`` entries for axis widths ``w``:
     within a constant that depends only on ``dims`` of the largest sample that
-    fits the box. The sampler stops once the active list empties, which
-    guarantees every pairwise distance is at least ``r``.
+    fits the box. Candidates, bounds tests and cell indices are Python float
+    arithmetic with the values of the array expressions, and
+    :func:`_closer_than` gives each neighbour the verdict of
+    ``np.linalg.norm(candidate - neighbour) < r``. The sampler stops once the
+    active list empties, which guarantees every pairwise distance is at least
+    ``r``.
     """
     _check_poisson(space, r, attempts_per_point)
     dims = space.dims
-    lows, highs = space.lows, space.highs
+    bounds = space.bounds
+    lows = [lo for lo, _ in bounds]
     cell, reach, shape = _poisson_grid(space, r)
-
-    def cell_of(point: np.ndarray) -> np.ndarray:
-        return ((point - lows) // cell).astype(np.intp)
-
     span = 2 * reach + 1
     grid = np.full(tuple(shape.astype(np.intp)), -1, dtype=np.intp)
-    points = np.empty((64, dims))
-    count = 0
+    points: list[list[float]] = []
     active: list[int] = []
+    closer = _closer_than(r)
 
-    def accept(point: np.ndarray, base: np.ndarray) -> None:
-        nonlocal points, count
-        if count == len(points):
-            points = np.concatenate([points, np.empty_like(points)])
-        points[count] = point
-        grid[tuple(base + reach)] = count
-        active.append(count)
-        count += 1
+    def accept(point: list[float], base: list[int]) -> None:
+        grid[tuple([b + reach for b in base])] = len(points)
+        active.append(len(points))
+        points.append(point)
 
-    first = rng.uniform(lows, highs)
-    accept(first, cell_of(first))
+    first = rng.uniform(space.lows, space.highs).tolist()
+    accept(first, [int((c - lo) // cell) for c, lo in zip(first, lows)])
 
     while active:
         slot = int(rng.integers(len(active)))
@@ -271,15 +298,12 @@ def poisson_disc_sample(
                 continue
             # Radius density uniform over the annulus volume [r, 2r].
             radius = r * (rng.random() * (2.0**dims - 1.0) + 1.0) ** (1.0 / dims)
-            candidate = base_point + direction / norm * radius
-            if (candidate < lows).any() or (candidate > highs).any():
+            candidate = [p + x / norm * radius for p, x in zip(base_point, direction.tolist())]
+            if any(c < lo or c > hi for c, (lo, hi) in zip(candidate, bounds)):
                 continue
-            base = cell_of(candidate)
-            block = grid[tuple(slice(b, b + span) for b in base.tolist())]
-            diff = candidate - points[block[block >= 0]]
-            # Row-wise matmul computes each x.dot(x) as np.linalg.norm does,
-            # so the comparisons with r match a per-neighbour norm exactly.
-            if (np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])) < r).any():
+            base = [int((c - lo) // cell) for c, lo in zip(candidate, lows)]
+            block = grid[tuple([slice(b, b + span) for b in base])]
+            if any(closer(candidate, points[j]) for j in block[block >= 0].tolist()):
                 continue
             accept(candidate, base)
             break
@@ -287,7 +311,7 @@ def poisson_disc_sample(
             active[slot] = active[-1]
             active.pop()
 
-    return points[:count].copy()
+    return np.array(points)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,54 @@ def test_clip_equals_np_clip_on_ties_signed_zeros_and_nan(lo, hi):
         space.clip(CLIP_VALUES[:-1])
 
 
+def array_contains(space, x):
+    """The earlier bounds check, numpy comparisons and reductions over the vector."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (space.dims,):
+        return False
+    return bool(((x >= space.lows) & (x <= space.highs)).all())
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-math.inf, 0.5), (-1.0, math.inf)]
+)
+def test_contains_equals_the_array_expression_on_edge_values(lo, hi):
+    space = SearchSpace(((lo, hi), (-1.0, 1.0)))
+    beside = [math.nextafter(b, to) for b in (lo, hi) for to in (-math.inf, math.inf)]
+    for v in CLIP_VALUES + beside:
+        for w in (0.0, -1.0, 1.0, math.nan):
+            for x in ([v, w], [w, v], [v], [v, w, 0.0], [[v, w]]):
+                assert space.contains(x) is array_contains(space, x)
+                assert space.contains(np.array(x)) is array_contains(space, x)
+
+
+@given(
+    data=st.data(),
+    dims=st.integers(1, 4),
+    shape=st.sampled_from(["vector", "short", "long", "row", "scalar"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_contains_equals_the_array_expression(data, dims, shape):
+    bound = st.sampled_from(CLIP_VALUES[:-1]) | st.floats(-10.0, 10.0)
+    pair = st.tuples(bound, bound).filter(lambda b: b[0] < b[1])
+    space = SearchSpace(tuple(data.draw(st.lists(pair, min_size=dims, max_size=dims))))
+    # Coordinates on the bounds, just beside them, or anywhere, NaN and inf included.
+    coord = (st.sampled_from([v for lo_hi in space.bounds for v in lo_hi] + CLIP_VALUES)
+             | st.sampled_from([math.nextafter(v, d) for lo_hi in space.bounds for v in lo_hi
+                                for d in (-math.inf, math.inf)])
+             | st.floats())
+    size = {"vector": dims, "short": dims - 1, "long": dims + 1, "row": dims,
+            "scalar": 1}[shape]
+    x = data.draw(st.lists(coord, min_size=size, max_size=size))
+    if shape == "row":
+        x = [x]
+    elif shape == "scalar":
+        x = x[0]
+    if data.draw(st.booleans()):
+        x = np.array(x)
+    assert space.contains(x) is array_contains(space, x)
+
+
 # --- evaluation log -----------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 failure metrics, and reference-set construction with persistence."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from failcover import coverage
-from failcover.core import RunLog
+from failcover.core import RunLog, unit_box
 from failcover.coverage import (
     CidParams,
     ConvergenceCheckpoint,
@@ -34,7 +35,7 @@ from failcover.problems import (
     get_problem,
     two_region_failing_area,
 )
-from failcover.samplers import make_rng
+from failcover.samplers import grid_sample, make_rng
 
 
 def brute_force_cid(A, Z, p=2.0, q=1.0):
@@ -46,12 +47,16 @@ def brute_force_cid(A, Z, p=2.0, q=1.0):
     return total ** (1.0 / q) / len(Z)
 
 
-def fake_history(inputs, failed) -> RunLog:
-    """A two_ball run log whose 2-D inputs and verdicts are given, not evaluated."""
+def fake_history(inputs, failed, dims=2) -> RunLog:
+    """A two_ball run log whose inputs and verdicts are given, not evaluated.
+
+    For ``dims`` other than 2 the problem's box becomes the unit box of ``dims``.
+    """
     n = len(failed)
-    log = RunLog(get_problem("two_ball", "Large"), budget=max(n, 1))
+    problem = replace(get_problem("two_ball", "Large"), space=unit_box(dims))
+    log = RunLog(problem, budget=max(n, 1))
     rows = log.table[:n]
-    rows.input = np.asarray(inputs, dtype=float).reshape(n, 2)
+    rows.input = np.asarray(inputs, dtype=float).reshape(n, dims)
     rows.failed = failed
     log.used = n
     return log
@@ -291,7 +296,7 @@ def list_first_failure_iteration(history, batch_size: int) -> int | None:
 
 
 def assert_metrics_match_the_list_versions(inputs, failed, Z, params, interval, batch_size):
-    columns = fake_history(inputs, failed)
+    columns = fake_history(inputs, failed, dims=Z.shape[1])
     objects = SimpleNamespace(evaluations=[
         SimpleNamespace(index=i, input=np.asarray(x, dtype=float), failed=bool(f))
         for i, (x, f) in enumerate(zip(inputs, failed))
@@ -320,19 +325,37 @@ def test_metrics_match_the_list_versions_on_edge_cases(failed, interval):
 @given(
     data=st.data(),
     n=st.integers(0, 60),
+    dims=st.sampled_from([1, 2, 3, 5]),
     interval=st.integers(1, 80),
     batch_size=st.integers(1, 70),
-    p=st.sampled_from([1.0, 2.0, 3.5]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.5]),
     q=st.sampled_from([1.0, 2.0]),
+    extra=st.integers(0, 150),
 )
-@settings(max_examples=150, deadline=None)
-def test_metrics_match_the_list_versions(data, n, interval, batch_size, p, q):
+@settings(max_examples=200, deadline=None)
+def test_metrics_match_the_list_versions(data, n, dims, interval, batch_size, p, q, extra):
     unit = st.floats(0.0, 1.0, allow_nan=False)
-    inputs = data.draw(st.lists(st.lists(unit, min_size=2, max_size=2), min_size=n, max_size=n))
+    point = st.lists(unit, min_size=dims, max_size=dims)
+    inputs = np.array(data.draw(st.lists(point, min_size=n, max_size=n))).reshape(n, dims)
     failed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    Z = data.draw(st.lists(st.lists(unit, min_size=2, max_size=2), min_size=1, max_size=9))
-    assert_metrics_match_the_list_versions(np.array(inputs).reshape(n, 2), failed, np.array(Z),
-                                           CidParams(p=p, q=q), interval, batch_size)
+    # Drawn reference points, and up to 150 more: mostly more than one
+    # checkpoint's fresh failures, as reference sets are. Some repeat inputs.
+    Z = np.array(data.draw(st.lists(point, min_size=1, max_size=9)))
+    more = make_rng(extra, dims).uniform(0.0, 1.0, size=(extra, dims))
+    Z = np.concatenate([Z, more, inputs[: extra // 10]])
+    assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(p=p, q=q), interval,
+                                           batch_size)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_series_matches_the_list_version_on_a_benchmark_sized_reference_set(p):
+    # The refset-3d shape: thousands of reference points, a checkpoint every
+    # 10 evaluations, a few fresh failures at each.
+    rng = make_rng(49)
+    inputs = rng.uniform(0.0, 1.0, size=(400, 3))
+    failed = rng.random(400) < 0.3
+    Z = grid_sample(unit_box(3), 18)
+    assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(p=p), 10, 40)
 
 
 # --- reference sets -----------------------------------------------------------------------

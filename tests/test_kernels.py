@@ -57,6 +57,7 @@ from failcover.samplers import (
     DEFAULT_POISSON_ATTEMPTS,
     FPS_POOL_CAP,
     FPS_POOL_PER_POINT,
+    _closer_than,
     _sum_rows_pairwise,
     fps_sample,
     grid_sample,
@@ -205,6 +206,94 @@ def test_poisson_few_attempts_matches_reference():
     got = poisson_disc_sample(unit_box(2), 0.05, rng_new, attempts_per_point=2)
     want = dict_grid_poisson(unit_box(2), 0.05, rng_ref, attempts_per_point=2)
     assert_same_points_and_draws(got, rng_new, want, rng_ref)
+
+
+def test_poisson_benchmark_case_matches_reference():
+    # The refset-3d benchmark's sampler: avp_analog's unit cube, r=0.08, and the
+    # sampler seed its workload seed 1 derives.
+    rng_new, rng_ref = make_rng(596854), make_rng(596854)
+    got = poisson_disc_sample(unit_box(3), 0.08, rng_new)
+    want = dict_grid_poisson(unit_box(3), 0.08, rng_ref)
+    assert len(got) > 1000
+    assert_same_points_and_draws(got, rng_new, want, rng_ref)
+
+
+@pytest.mark.parametrize("space", [unit_box(1), SearchSpace(((-3.5, 4.25),))], ids=["unit", "wide"])
+@pytest.mark.parametrize("r", [0.01, 0.3, 7.0])
+def test_poisson_1d_matches_reference(space, r):
+    rng_new, rng_ref = make_rng(11), make_rng(11)
+    got = poisson_disc_sample(space, r, rng_new)
+    assert_same_points_and_draws(got, rng_new, dict_grid_poisson(space, r, rng_ref), rng_ref)
+
+
+@pytest.mark.parametrize("space, r", [(unit_box(2), 0.03), (unit_box(3), 0.1), (SKEWED_BOX, 0.3)])
+def test_poisson_one_attempt_per_point_matches_reference(space, r):
+    rng_new, rng_ref = make_rng(12), make_rng(12)
+    got = poisson_disc_sample(space, r, rng_new, attempts_per_point=1)
+    want = dict_grid_poisson(space, r, rng_ref, attempts_per_point=1)
+    assert_same_points_and_draws(got, rng_new, want, rng_ref)
+
+
+# r**2 is subnormal: the squares in ddot keep a few bits, so only ddot itself
+# may decide which neighbours are too close.
+@pytest.mark.parametrize("space, r", [
+    (SearchSpace(((0.0, 2e-160), (0.0, 2e-160))), 1e-161),
+    (SearchSpace(((0.0, 4e-161),)), 1e-162),
+], ids=["2d", "1d"])
+def test_poisson_with_a_subnormal_r_squared_matches_reference(space, r):
+    rng_new, rng_ref = make_rng(13), make_rng(13)
+    got = poisson_disc_sample(space, r, rng_new)
+    want = dict_grid_poisson(space, r, rng_ref)
+    assert len(got) > 10
+    assert_same_points_and_draws(got, rng_new, want, rng_ref)
+
+
+def offsets_near(r, dims, seed, step):
+    """Pairs (a, b) whose offset b - a has a length within 6 ``step`` of ``r``."""
+    rng = make_rng(seed)
+    for _ in range(40):
+        a = rng.uniform(-2.0, 2.0, size=dims) * r
+        u = rng.normal(size=dims)
+        u /= np.linalg.norm(u)
+        for k in range(-6, 7):
+            b = a + u * (r + k * step)
+            yield a.tolist(), b.tolist()
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("r", [0.08, 0.3, 1.0, 7.5, 1e-3])
+def test_closer_than_on_lengths_within_ulps_of_r_equals_norm(dims, r):
+    closer = _closer_than(r)
+    verdicts = set()
+    for a, b in offsets_near(r, dims, seed=dims, step=math.ulp(r)):
+        want = bool(np.linalg.norm(np.subtract(a, b)) < r)
+        assert closer(a, b) == want
+        # math.dist lands in the band where ddot decides.
+        assert abs(math.dist(a, b) - r) <= 1e-9 * r
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+# Subnormal squares carry a few significant bits, so ddot's verdict can differ
+# from the exact one a thousandth from r; _closer_than must still return
+# ddot's. Squares that overflow make ddot infinite, in the reference as well.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("r", [1e-160, 3e-158, 1e155, 1e160])
+@pytest.mark.parametrize("dims", [2, 3])
+def test_closer_than_at_the_ends_of_the_double_range_equals_norm(r, dims):
+    closer = _closer_than(r)
+    for a, b in offsets_near(r, dims, seed=dims, step=1e-4 * r):
+        assert closer(a, b) == bool(np.linalg.norm(np.subtract(a, b)) < r)
+
+
+@given(
+    a=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+    b=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+    r=st.floats(1e-6, 10.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_closer_than_equals_norm(a, b, r):
+    assert _closer_than(r)(a, b) == bool(np.linalg.norm(np.subtract(a, b)) < r)
 
 
 # --- furthest point sampling --------------------------------------------------------
