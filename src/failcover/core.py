@@ -56,7 +56,11 @@ def check_finite_real(name: str, value: object) -> None:
 
 
 class BudgetExhausted(Exception):
-    """Signal that the evaluation budget is spent; run loops exit cleanly on it."""
+    """Raised by ``RunLog.evaluate`` past the budget.
+
+    No runner catches it: each one stops on ``RunLog.remaining`` before
+    asking for an evaluation the budget does not hold.
+    """
 
 
 @dataclass(frozen=True)

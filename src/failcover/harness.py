@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -307,7 +306,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
 
     Runs execute sequentially in config order; repetition ``i`` uses seed
     ``base_seed + i``. Aborts (for example on an empty reference set, a write
-    error or an interrupt) leave no partial result files behind.
+    error or an interrupt) leave no partial result files behind. A ``stats.csv``
+    and ``report.md`` already in ``out_dir`` describe earlier results, so they
+    are deleted before the new results are written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -335,6 +336,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
                 )
             )
 
+    for derived in ("stats.csv", "report.md"):
+        (out_dir / derived).unlink(missing_ok=True)
     written: list[Path] = []
     try:
         written.append(_write_runs_csv(out_dir, config, problem, runs))
@@ -458,19 +461,36 @@ def _write_manifest(
     return path
 
 
-# --- comparison ----------------------------------------------------------------
+# --- reading results ---------------------------------------------------------------
 
 
-def _read_final_cids(in_dir: Path) -> tuple[dict, dict[str, list[float | None]]]:
+def _cell(text: str) -> float | None:
+    """A numeric CSV cell; an empty cell is undefined."""
+    return float(text) if text else None
+
+
+def _read_rows(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _read_results(in_dir: Path) -> tuple[dict, dict[str, list[list[tuple[int, float | None]]]]]:
+    """The manifest, and each algorithm's runs as ``(evaluations, cid)`` checkpoints.
+
+    Algorithms come in config order, each one's runs in repetition order.
+    """
     manifest = json.loads((in_dir / "manifest.json").read_text())
-    finals_by_run: dict[str, float | None] = {}
-    with open(in_dir / "cid_series.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            finals_by_run[row["run_id"]] = float(row["cid"]) if row["cid"] else None
-    by_algorithm: dict[str, list[float | None]] = {}
-    for run in sorted(manifest["runs"], key=lambda r: (r["algorithm"], r["repetition"])):
-        by_algorithm.setdefault(run["algorithm"], []).append(finals_by_run[run["run_id"]])
-    return manifest, by_algorithm
+    checkpoints: dict[str, list[tuple[int, float | None]]] = {}
+    for row in _read_rows(in_dir / "cid_series.csv"):
+        checkpoint = (int(row["evaluations"]), _cell(row["cid"]))
+        checkpoints.setdefault(row["run_id"], []).append(checkpoint)
+    series: dict[str, list] = {a["name"]: [] for a in manifest["config"]["algorithms"]}
+    for run in sorted(manifest["runs"], key=lambda r: r["repetition"]):
+        series[run["algorithm"]].append(checkpoints[run["run_id"]])
+    return manifest, series
+
+
+# --- comparison ----------------------------------------------------------------
 
 
 def compare(in_dir: str | Path, test: str = "ranksum", alpha: float = 0.05) -> list[dict]:
@@ -485,43 +505,24 @@ def compare(in_dir: str | Path, test: str = "ranksum", alpha: float = 0.05) -> l
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha: must be in (0, 1), got {alpha!r}")
     in_dir = Path(in_dir)
-    manifest, by_algorithm = _read_final_cids(in_dir)
-    if len(by_algorithm) < 2:
+    manifest, series = _read_results(in_dir)
+    if len(series) < 2:
         raise ConfigError("compare needs results from at least two algorithms")
     variant = manifest["config"]["problem"]["variant"]
-    ordered = [a["name"] for a in manifest["config"]["algorithms"]]
+    finals = {algo: [run[-1][1] for run in runs] for algo, runs in series.items()}
 
     rows = []
-    for left, right in combinations(ordered, 2):
+    for left, right in combinations(finals, 2):
         pair = f"{left} vs {right}"
-        x, y = by_algorithm[left], by_algorithm[right]
-        if any(v is None for v in x + y):
-            rows.append(
-                {
-                    "pair": pair,
-                    "variant": variant,
-                    "test": test,
-                    "p_value": None,
-                    "a12": None,
-                    "magnitude": None,
-                    "significant": None,
-                    "skipped_reason": "undefined CID (a run found no failures)",
-                }
-            )
-            continue
-        result = compare_samples(pair, x, y, test=test, alpha=alpha)
-        rows.append(
-            {
-                "pair": pair,
-                "variant": variant,
-                "test": test,
-                "p_value": result.p_value,
-                "a12": result.a12,
-                "magnitude": result.magnitude,
-                "significant": result.significant,
-                "skipped_reason": None,
-            }
-        )
+        x, y = finals[left], finals[right]
+        row = {"pair": pair, "variant": variant, "test": test,
+               "p_value": None, "a12": None, "magnitude": None, "significant": None,
+               "skipped_reason": "undefined CID (a run found no failures)"}
+        if None not in x + y:
+            result = compare_samples(pair, x, y, test=test, alpha=alpha)
+            row.update(p_value=result.p_value, a12=result.a12, magnitude=result.magnitude,
+                       significant=result.significant, skipped_reason=None)
+        rows.append(row)
 
     header = ["pair", "variant", "test", "p_value", "a12", "magnitude", "significant"]
     _write_rows(in_dir / "stats.csv", header, [[r[k] for k in header] for r in rows])
@@ -538,90 +539,68 @@ def _fmt(value: float | None, bold: bool = False) -> str:
     return f"**{text}**" if bold else text
 
 
+def _table(header: list[str], rows: list[list[str]]) -> str:
+    """A markdown table and the blank line after it; an empty cell is drawn as ``| |``."""
+    def line(cells: list[str]) -> str:
+        return "|" + "".join(f" {c} |" if c else " |" for c in cells) + "\n"
+
+    return line(header) + "|" + "---|" * len(header) + "\n" + "".join(map(line, rows)) + "\n"
+
+
 def emit_report(in_dir: str | Path, out_path: str | Path | None = None) -> Path:
     """Render the result tables as markdown; returns the report path."""
     in_dir = Path(in_dir)
-    for required in ("summary.csv", "cid_series.csv", "manifest.json"):
-        if not (in_dir / required).exists():
-            raise FileNotFoundError(f"{in_dir / required}: missing experiment output")
-    manifest = json.loads((in_dir / "manifest.json").read_text())
-    with open(in_dir / "summary.csv", newline="") as fh:
-        summary = list(csv.DictReader(fh))
-
+    summary = _read_rows(in_dir / "summary.csv")
+    manifest, series = _read_results(in_dir)
     cfg = manifest["config"]
-    buf = io.StringIO()
-    buf.write("# Experiment report\n\n")
-    buf.write(
+    parts = [
+        "# Experiment report\n\n",
         f"Problem `{cfg['problem']['name']}` (variant {cfg['problem']['variant']}), "
         f"budget {cfg['budget']} evaluations, {cfg['repetitions']} repetitions, "
-        f"base seed {cfg['base_seed']}.\n\n"
-    )
-    buf.write(
+        f"base seed {cfg['base_seed']}.\n\n",
         f"Reference set: {manifest['refset_size']} failing points out of "
-        f"{manifest['refset_total_sampled']} sampled (hash `{manifest['refset_hash'][:12]}`).\n\n"
-    )
+        f"{manifest['refset_total_sampled']} sampled (hash `{manifest['refset_hash'][:12]}`).\n\n",
+        "## Coverage summary\n\n",
+    ]
+    cid_means = [_cell(s["cid_mean"]) for s in summary]
+    best = min((m for m in cid_means if m is not None), default=None)
+    rows = []
+    for s, mean in zip(summary, cid_means):
+        first = _cell(s["first_fail_mean"])
+        rows.append([s["algorithm"], _fmt(mean, mean is not None and mean == best),
+                     _fmt(_cell(s["cid_std"])), _fmt(_cell(s["failures_mean"])),
+                     "—" if first is None else _fmt(first)])
+    parts.append(_table(["algorithm", "CID mean", "CID std", "failures mean",
+                         "first-failure iter. mean"], rows))
 
-    buf.write("## Coverage summary\n\n")
-    buf.write("| algorithm | CID mean | CID std | failures mean | first-failure iter. mean |\n")
-    buf.write("|---|---|---|---|---|\n")
-    defined = [float(s["cid_mean"]) for s in summary if s["cid_mean"]]
-    best = min(defined) if defined else None
-    for s in summary:
-        cid_mean = float(s["cid_mean"]) if s["cid_mean"] else None
-        bold = best is not None and cid_mean is not None and cid_mean == best
-        cid_std = float(s["cid_std"]) if s["cid_std"] else None
-        failures = float(s["failures_mean"]) if s["failures_mean"] else None
-        first = f"{float(s['first_fail_mean']):.6g}" if s["first_fail_mean"] else "—"
-        buf.write(
-            f"| {s['algorithm']} | {_fmt(cid_mean, bold)} | {_fmt(cid_std)} "
-            f"| {_fmt(failures)} | {first} |\n"
-        )
-    buf.write("\n")
-
-    buf.write("## Statistical comparison\n\n")
+    parts.append("## Statistical comparison\n\n")
     stats_path = in_dir / "stats.csv"
     if len(summary) < 2:
-        buf.write("Only one algorithm was run; there is nothing to compare.\n\n")
+        parts.append("Only one algorithm was run; there is nothing to compare.\n\n")
     elif not stats_path.exists():
-        buf.write("No stats.csv found; run the compare step to fill this section.\n\n")
+        parts.append("No stats.csv found; run the compare step to fill this section.\n\n")
     else:
-        with open(stats_path, newline="") as fh:
-            stat_rows = list(csv.DictReader(fh))
-        buf.write("| pair | test | p-value | A12 | magnitude | significant |\n")
-        buf.write("|---|---|---|---|---|---|\n")
-        for row in stat_rows:
-            if row["p_value"]:
-                buf.write(
-                    f"| {row['pair']} | {row['test']} | {float(row['p_value']):.6g} "
-                    f"| {float(row['a12']):.6g} | {row['magnitude']} "
-                    f"| {'yes' if row['significant'] == '1' else 'no'} |\n"
-                )
-            else:
-                buf.write(f"| {row['pair']} | {row['test']} | skipped | | | |\n")
-        buf.write("\n")
+        rows = [
+            [r["pair"], r["test"], _fmt(float(r["p_value"])), _fmt(float(r["a12"])),
+             r["magnitude"], "yes" if r["significant"] == "1" else "no"]
+            if r["p_value"] else [r["pair"], r["test"], "skipped", "", "", ""]
+            for r in _read_rows(stats_path)
+        ]
+        parts.append(_table(["pair", "test", "p-value", "A12", "magnitude", "significant"], rows))
 
-    buf.write("## CID convergence (mean and std across repetitions)\n\n")
-    series: dict[str, dict[int, list[float | None]]] = {}
-    run_algo = {r["run_id"]: r["algorithm"] for r in manifest["runs"]}
-    with open(in_dir / "cid_series.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            algo = run_algo[row["run_id"]]
-            mark = int(row["evaluations"])
-            series.setdefault(algo, {}).setdefault(mark, []).append(
-                float(row["cid"]) if row["cid"] else None
-            )
-    for algo, marks in series.items():
-        buf.write(f"### {algo}\n\n")
-        buf.write("| evaluations | CID mean | CID std |\n")
-        buf.write("|---|---|---|\n")
-        for mark in sorted(marks):
-            defined = [v for v in marks[mark] if v is not None]
-            mean = _mean_or_none(defined)
-            std = _std_or_none(defined)
-            buf.write(f"| {mark} | {_fmt(mean)} | {_fmt(std)} |\n")
-        buf.write("\n")
+    parts.append("## CID convergence (mean and std across repetitions)\n\n")
+    for algo, runs in series.items():
+        by_mark: dict[int, list[float]] = {}
+        for run in runs:
+            for mark, cid in run:
+                defined = by_mark.setdefault(mark, [])
+                if cid is not None:
+                    defined.append(cid)
+        rows = [[str(mark), _fmt(_mean_or_none(cids)), _fmt(_std_or_none(cids))]
+                for mark, cids in sorted(by_mark.items())]
+        parts.append(f"### {algo}\n\n" + _table(["evaluations", "CID mean", "CID std"], rows))
 
     out_path = Path(out_path) if out_path else in_dir / "report.md"
     with atomic_open(out_path) as fh:
-        fh.write(buf.getvalue())
+        fh.write("".join(parts))
     return out_path

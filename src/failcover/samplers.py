@@ -216,6 +216,14 @@ def _check_poisson(space: SearchSpace, r: float,
     if r <= 0:
         raise ValueError(f"poisson sampler parameter r must be positive, got {r}")
     _check_count("poisson", "attempts_per_point", attempts_per_point, 1)
+    # No neighbour offset is longer than the box diagonal, so where its square
+    # is finite no ddot neighbour length overflows to inf.
+    widths = [hi - lo for lo, hi in space.bounds]
+    if not math.isfinite(sum(w * w for w in widths)):
+        raise ValueError(
+            f"poisson sampler: the squared widths of {space.bounds} sum past the double "
+            "range, so neighbour distances would overflow"
+        )
     cells = math.prod(_poisson_grid(space, r)[2].tolist())
     _check_size(f"poisson sampler: the background grid for r={r} in {space.dims}-D", cells)
 

@@ -1,7 +1,9 @@
 """Golden digests: the exact bytes of ``runs.csv`` and ``cid_series.csv`` for one
 small config per algorithm, plus budgets that end nsga2 mid-generation and
-nsga2d mid-repopulation; each sampler's reference set on two_ball Large; and
-the poisson and fps reference sets on avp_analog Medium.
+nsga2d mid-repopulation; the analysis outputs ``summary.csv``, ``stats.csv``
+and ``report.md`` of a three-algorithm experiment and of one whose pair is
+skipped; each sampler's reference set on two_ball Large; and the poisson and
+fps reference sets on avp_analog Medium.
 
 A refactor or speed-up that must not change results keeps these hashes. A
 change that alters them on purpose records the new values and the reason in
@@ -13,7 +15,7 @@ import hashlib
 import pytest
 
 from failcover.coverage import build_reference_set
-from failcover.harness import parse_config, run_experiment
+from failcover.harness import compare, emit_report, parse_config, run_experiment
 from failcover.problems import get_problem
 
 
@@ -99,6 +101,88 @@ def test_result_bytes_match_golden_digest(name, tmp_path):
         runs_sha,
         series_sha,
     )
+
+
+def analysis_config(algorithms: list[dict], **overrides) -> dict:
+    raw = {
+        "problem": {"name": "two_ball", "variant": "Large"},
+        "algorithms": algorithms,
+        "budget": 200,
+        "repetitions": 3,
+        "base_seed": 11,
+        "refset": {"strategy": "grid", "params": {"k": 64}},
+        "cid": {"interval": 50},
+    }
+    raw.update(overrides)
+    return raw
+
+
+#: Name -> (config, sha256 of each analysis output). The report is drawn before
+#: any compare, then after each test's compare.
+GOLDEN_ANALYSIS = {
+    "two_ball-three-algorithms": (
+        analysis_config([{"name": "rs", "params": {"batch_size": 20}},
+                         {"name": "nsga2", "params": {"population_size": 20}},
+                         {"name": "omopso", "params": {"swarm_size": 20}}]),
+        {
+            "summary.csv":
+                "e547089d1cdad2a24168ba06ee71b70d83384f6378a2a0502307f8afc868da94",
+            "report.md":
+                "674bd7f5dea5c3c9ef6c234706d43b15c2cfd1103caaf75a96048a79e68efd6e",
+            "stats.csv ranksum":
+                "39901060cfeb48a08ebe38d34ba9b1987f496f960834546e10e08d88ba66fd71",
+            "report.md ranksum":
+                "64ef6673d5135a4ad664006b50a3ac58fe5dba195a2fc37b651e29db2028c120",
+            "stats.csv signedrank":
+                "1ddcf437572d194d33190a783fb268cb13c991020e8b9f7533f7973c38ef81ea",
+            "report.md signedrank":
+                "3a65e2ee488c8867b8dffd0c2e67f20d985852207a59a8fb44bca134d176aae0",
+        },
+    ),
+    # Discs too small for 60 evaluations to hit: every final CID is undefined,
+    # the summary has empty cells and the one pair is skipped.
+    "two_ball-skipped-pair": (
+        analysis_config(
+            [{"name": "rs", "params": {"batch_size": 20}},
+             {"name": "nsga2", "params": {"population_size": 20}}],
+            problem={"name": "two_ball", "variant": "Large",
+                     "params": {"c1": [0.1, 0.1], "c2": [0.12, 0.1], "t1": 0.011, "t2": 0.011}},
+            budget=60,
+            repetitions=1,
+            refset={"strategy": "grid", "params": {"k": 400}},
+            cid={"interval": 40},
+        ),
+        {
+            "summary.csv":
+                "687941682a21136528f721655882e33fc22f04e3d16da4283ac0390b31bee7da",
+            "report.md":
+                "89876ee42b5b8d1264b0205fabf0b85be95b477d71c44441b7e1f59f9fce40ca",
+            "stats.csv ranksum":
+                "c31c5ad0e3d3d5b1ca19b2ec451eee2f4f303733b150f857e13ae945be491bc0",
+            "report.md ranksum":
+                "7410927daa21819859dde7dc804e42fc26c8ea88516ebf01ef50db6bf6b9fc79",
+            "stats.csv signedrank":
+                "fdaa05bd91172819e732690bc7f07a9e6663f204f00d73cdbe13c9ca9ff23e8d",
+            "report.md signedrank":
+                "0f2315d03e44a4d2e2fb85b4f934b0b82aa2525f01f5a7fe95669c979ebe455d",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYSIS))
+def test_analysis_bytes_match_golden_digest(name, tmp_path):
+    raw, digests = GOLDEN_ANALYSIS[name]
+    run_experiment(parse_config(raw), tmp_path)
+    emit_report(tmp_path)
+    got = {"summary.csv": sha256_of(tmp_path / "summary.csv"),
+           "report.md": sha256_of(tmp_path / "report.md")}
+    for test in ("ranksum", "signedrank"):
+        compare(tmp_path, test=test)
+        emit_report(tmp_path)
+        got[f"stats.csv {test}"] = sha256_of(tmp_path / "stats.csv")
+        got[f"report.md {test}"] = sha256_of(tmp_path / "report.md")
+    assert got == digests
 
 
 #: Name -> (problem, variant, sampler params, points kept, ReferenceSet.content_hash());

@@ -656,6 +656,22 @@ def test_report_marks_undefined_and_missing(tmp_path):
     assert "—" in report
 
 
+def test_rerun_into_a_used_directory_drops_the_old_comparison(tmp_path):
+    three = [{"name": "rs", "params": {"batch_size": 20}},
+             {"name": "nsga2", "params": {"population_size": 20}},
+             {"name": "omopso", "params": {"swarm_size": 20}}]
+    run_experiment(parse_config(make_config(algorithms=three)), tmp_path)
+    compare(tmp_path)
+    emit_report(tmp_path)
+    two = [{"name": "rs", "params": {"batch_size": 20}},
+           {"name": "nsga2d", "params": {"population_size": 20}}]
+    run_experiment(parse_config(make_config(algorithms=two, base_seed=900)), tmp_path)
+    assert not (tmp_path / "stats.csv").exists() and not (tmp_path / "report.md").exists()
+    report = emit_report(tmp_path).read_text()
+    assert "nsga2 vs omopso" not in report and "### omopso" not in report
+    assert "No stats.csv found" in report
+
+
 def test_report_missing_inputs_error(tmp_path):
     with pytest.raises(FileNotFoundError, match="summary.csv"):
         emit_report(tmp_path)

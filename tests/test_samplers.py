@@ -251,6 +251,17 @@ def test_size_guard_refuses_before_allocating():
     validate_sampler_params("grid", {"k": 3162}, unit_box(2))
 
 
+def test_poisson_refuses_a_box_whose_squared_widths_overflow():
+    # Every neighbour offset here squares past the double range, so each length
+    # would be inf, no candidate ever too close, and the sampler would never
+    # return. The validator refuses first, so a regression fails, not hangs.
+    space = SearchSpace(((-2e160, 0.0), (0.0, 1.5e160)))
+    with pytest.raises(ValueError, match="squared widths"):
+        validate_sampler_params("poisson", {"r": 3e159}, space)
+    with pytest.raises(ValueError, match="squared widths"):
+        poisson_disc_sample(space, r=3e159, rng=make_rng(0))
+
+
 @pytest.mark.parametrize(
     "strategy, params, what, size",
     [
