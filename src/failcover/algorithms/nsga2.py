@@ -226,27 +226,21 @@ def polynomial_mutation(
 # --- novelty archive ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class NoveltyArchive:
     """Failure archive with a minimum-distance admission gate.
 
     Candidates are processed sequentially: each accepted member immediately
     affects the admission of later candidates in the same generation. The
-    members are also held as one ``(n, d)`` matrix, built on first use and
-    dropped by each insert, so a whole population is measured in one query.
+    members are one ``(n, d)`` matrix, so a whole population is measured in
+    one query.
     """
 
     threshold: float
-    members: list[np.ndarray] = field(default_factory=list)
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    members: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def member_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.array(self.members)
-        return self._matrix
 
 
 def novelty_distances(archive: NoveltyArchive, candidates: np.ndarray) -> np.ndarray:
@@ -256,9 +250,9 @@ def novelty_distances(archive: NoveltyArchive, candidates: np.ndarray) -> np.nda
     the same differences, squares, sums over the last axis and square roots.
     """
     X = np.asarray(candidates, dtype=float)
-    if not archive.members:
+    if not len(archive):
         return np.full(len(X), math.inf)
-    diff = archive.member_matrix()[None, :, :] - X[:, None, :]
+    diff = archive.members[None, :, :] - X[:, None, :]
     return np.sqrt(np.add.reduce(diff * diff, axis=-1)).min(axis=1)
 
 
@@ -269,11 +263,10 @@ def novelty_distance(archive: NoveltyArchive, candidate: np.ndarray) -> float:
 
 def archive_insert(archive: NoveltyArchive, candidate: np.ndarray) -> bool:
     """Append the candidate iff it is farther than the threshold from all members."""
-    candidate = np.array(candidate, dtype=float)
-    if archive.members and novelty_distance(archive, candidate) <= archive.threshold:
+    candidate = np.asarray(candidate, dtype=float)
+    if len(archive) and novelty_distance(archive, candidate) <= archive.threshold:
         return False
-    archive.members.append(candidate)
-    archive._matrix = None
+    archive.members = np.vstack([archive.members.reshape(-1, candidate.size), candidate])
     return True
 
 

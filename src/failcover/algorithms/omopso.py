@@ -5,6 +5,20 @@ non-dominated solutions; the archive is truncated by crowding distance. The
 inertia weight decays linearly over the evaluation budget and out-of-bounds
 particles are reflected back with inverted velocity. The swarm is split into
 thirds by particle index: uniform turbulence, non-uniform turbulence, none.
+
+This is not the published OMOPSO of Sierra and Coello Coello (EMO 2005, LNCS
+3410) line for line. No reference implementation is in this repository; the
+known deviations from the published description are:
+
+* inertia: ``w`` decays linearly from ``w_max`` 0.9 to ``w_min`` 0.1 over the
+  budget (:func:`inertia_at`), where the published algorithm, as widely
+  implemented, draws ``w`` uniformly in [0.1, 0.5] for each particle;
+* boundary rule: an out-of-bounds variable is mirrored back into the box with
+  its velocity inverted (:func:`reflect_boundary`), not clamped to the bound;
+* personal best: the new position replaces the old best when it dominates it,
+  and by a coin flip when neither dominates the other;
+* archive: there is no epsilon-dominance archive; it would affect only the
+  reported front, not the search, and the run log is what gets scored.
 """
 
 from __future__ import annotations
@@ -81,7 +95,10 @@ def reflect_boundary(
     larger than the box width. Raises ``ValueError`` where that never ends: an
     infinite position, or one that two reflections bring no closer to the box
     in floating point (reflection is monotone, so it would never get inside).
-    A NaN position passes through.
+    A NaN position passes through. Each pass moves the position by about one
+    box width, so the time is linear in the overshoot counted in box widths:
+    an overshoot of 1e7 widths takes some 1e7 passes. OMOPSO's own
+    velocities stay within a few dozen widths.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")

@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     problems = sub.add_parser("problems", help="inspect the synthetic problem catalog")
     problems_sub = problems.add_subparsers(dest="problems_command", required=True)
-    problems_sub.add_parser("list", help="list catalog problems and oracle variants")
+    listing = problems_sub.add_parser("list", help="list catalog problems and oracle variants")
+    listing.set_defaults(func=_cmd_problems_list)
 
     refset = sub.add_parser("refset", help="build and persist a reference set")
     refset.add_argument("--problem", required=True, help="catalog problem name")
@@ -47,30 +48,35 @@ def _build_parser() -> argparse.ArgumentParser:
     refset.add_argument("--params", default="{}",
                         help='sampler parameters as JSON, e.g. \'{"k": 64}\'')
     refset.add_argument("--out", required=True, help="output CSV path")
+    refset.set_defaults(func=_cmd_refset)
 
     run = sub.add_parser("run", help="run a configured experiment")
     run.add_argument("--config", required=True, help="JSON experiment config")
     run.add_argument("--out", default=None, help="output directory (overrides config)")
+    run.set_defaults(func=_cmd_run)
 
     cid_cmd = sub.add_parser("cid", help="score a point set against a reference set")
     cid_cmd.add_argument("--refset", required=True, help="reference-set CSV")
     cid_cmd.add_argument("--points", required=True, help="test-point CSV with header x1..xn")
     cid_cmd.add_argument("--p", type=float, default=2.0, help="distance norm order")
     cid_cmd.add_argument("--q", type=float, default=1.0, help="aggregation order")
+    cid_cmd.set_defaults(func=_cmd_cid)
 
     cmp_cmd = sub.add_parser("compare", help="pairwise statistics over final CID values")
     cmp_cmd.add_argument("--in", dest="in_dir", required=True, help="experiment output directory")
     cmp_cmd.add_argument("--test", default="ranksum", choices=("ranksum", "signedrank"))
     cmp_cmd.add_argument("--alpha", type=float, default=0.05)
+    cmp_cmd.set_defaults(func=_cmd_compare)
 
     report = sub.add_parser("report", help="render the markdown report")
     report.add_argument("--in", dest="in_dir", required=True, help="experiment output directory")
     report.add_argument("--out", default=None, help="report path (default <in>/report.md)")
+    report.set_defaults(func=_cmd_report)
 
     return parser
 
 
-def _cmd_problems_list() -> int:
+def _cmd_problems_list(args: argparse.Namespace) -> int:
     for name, entry in sorted(CATALOG.items()):
         problem = entry.build()
         print(f"{name}: {problem.space.dims}-D input, {problem.objective_count} objectives")
@@ -133,19 +139,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "problems":
-            return _cmd_problems_list()
-        if args.command == "refset":
-            return _cmd_refset(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "cid":
-            return _cmd_cid(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,8 +3,11 @@ dominance, and the run log, one table of evaluations, shared by every search
 algorithm.
 
 A problem is one :class:`ProblemDefinition`: a box, a batch fitness mapping
-``(N, dims)`` inputs to ``(N, objective_count)`` values, and an oracle. Its
-one-point :meth:`ProblemDefinition.fitness` is that batch fitness on one row.
+``(N, dims)`` inputs to ``(N, objective_count)`` values, and an oracle.
+:meth:`ProblemDefinition.fitness` is the one caller of that batch fitness: it
+takes one input or a batch and checks the shape and finiteness of what comes
+back, so the run log, reference sets and ``doi_volume_estimate`` apply the
+same check.
 
 Conventions used throughout the package:
 
@@ -192,16 +195,29 @@ class ProblemDefinition:
             )
 
     def fitness(self, x: np.ndarray) -> np.ndarray:
-        """Fitness vector of one input (a one-row batch), checking shape and finiteness."""
-        f = np.asarray(self.fitness_batch(np.asarray(x, dtype=float)[None, :]), dtype=float)
-        if f.shape != (1, self.objective_count):
+        """Fitness of one input ``(dims,)`` or of each row of a batch ``(n, dims)``.
+
+        One input is a one-row batch and gets its ``(objective_count,)`` row
+        back; a batch gets ``(n, objective_count)``. Raises ``ValueError``
+        unless ``fitness_batch`` returns that many rows of that many finite
+        values; a non-finite batch names its first offending row.
+        """
+        X = np.asarray(x, dtype=float)
+        one = X.ndim == 1
+        if one:
+            X = X[None, :]
+        f = np.asarray(self.fitness_batch(X), dtype=float)
+        if f.shape != (len(X), self.objective_count):
             raise ValueError(
-                f"{self.name}: fitness_batch returned shape {f.shape} for one input, "
-                f"expected (1, {self.objective_count})"
+                f"{self.name}: fitness_batch returned shape {f.shape} for {len(X)} input(s), "
+                f"expected ({len(X)}, {self.objective_count})"
             )
-        if not all(map(math.isfinite, f[0].tolist())):
-            raise ValueError(f"{self.name}: fitness is not finite for input {x!r}")
-        return f[0]
+        if not all(map(math.isfinite, f.ravel().tolist())):
+            row = int(np.argmin(np.isfinite(f).all(axis=1)))
+            raise ValueError(
+                f"{self.name}: fitness is not finite for row {row}, input {X[row]!r}: {f[row]!r}"
+            )
+        return f[0] if one else f
 
 
 class RunLog:

@@ -226,7 +226,7 @@ def build_reference_set(
             return load_reference_set(csv_path)
 
     sample = sample_by_name(problem.space, strategy, params)
-    failing = problem.oracle.mask(problem.fitness_batch(sample))
+    failing = problem.oracle.mask(problem.fitness(sample))
     points = _dedupe_preserving_order(sample[failing])
     if len(points) == 0:
         raise EmptyReferenceSetError(problem.name, problem.oracle.variant_label, len(sample))
@@ -269,7 +269,7 @@ def _cache_key(problem: ProblemDefinition, strategy: str, params: dict) -> dict:
         "variant": problem.oracle.variant_label,
         "clauses": [list(clause) for clause in problem.oracle.clauses],
         "bounds": [list(bound) for bound in problem.space.bounds],
-        "fitness_probe": hashlib.sha256(problem.fitness_batch(probe).tobytes()).hexdigest(),
+        "fitness_probe": hashlib.sha256(problem.fitness(probe).tobytes()).hexdigest(),
         "strategy": strategy,
         "params": params,
     }

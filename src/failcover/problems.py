@@ -243,4 +243,4 @@ def get_problem(name: str, variant: str = "Large", **params) -> ProblemDefinitio
 def doi_volume_estimate(problem: ProblemDefinition, k: int) -> float:
     """Fraction of the k-per-axis grid whose nodes fall in the failure region."""
     points = grid_sample(problem.space, k)
-    return float(np.mean(problem.oracle.mask(problem.fitness_batch(points))))
+    return float(np.mean(problem.oracle.mask(problem.fitness(points))))

@@ -318,3 +318,44 @@ def test_fitness_rejects_non_finite_values(bad):
     problem = _toy_problem(lambda X: np.stack([X[:, 0], np.full(len(X), bad)], axis=1))
     with pytest.raises(ValueError, match="not finite"):
         problem.fitness(np.array([0.25, 0.5]))
+
+
+BATCH = np.array([[0.1, 0.2], [0.3, 0.7], [0.9, 0.4]])
+
+
+def test_fitness_of_a_batch_is_one_checked_batch_call():
+    seen = []
+
+    def fitness_batch(X):
+        seen.append(X.copy())
+        return _toy_fitness(X)
+
+    problem = _toy_problem(fitness_batch)
+    f = problem.fitness(BATCH)
+    assert len(seen) == 1 and seen[0].tolist() == BATCH.tolist()
+    assert f.shape == (3, 2) and f.tolist() == _toy_fitness(BATCH).tolist()
+    for x, row in zip(BATCH, f):
+        assert problem.fitness(x).tolist() == row.tolist()
+
+
+@pytest.mark.parametrize(
+    "fitness_batch, shape",
+    [
+        (lambda X: X[:2], r"\(2, 2\)"),  # a row short
+        (lambda X: X[:, :1], r"\(3, 1\)"),  # too few objectives
+        (lambda X: np.column_stack([X, X[:, 0]]), r"\(3, 3\)"),  # too many objectives
+    ],
+)
+def test_fitness_rejects_a_batch_result_of_the_wrong_shape(fitness_batch, shape):
+    with pytest.raises(ValueError, match=rf"toy: fitness_batch returned shape {shape}"):
+        _toy_problem(fitness_batch).fitness(BATCH)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fitness_of_a_batch_names_the_first_non_finite_row(bad):
+    problem = _toy_problem(lambda X: np.where(X > 0.6, bad, X))
+    with pytest.raises(ValueError) as raised:
+        problem.fitness(BATCH)
+    message = str(raised.value)
+    assert message.startswith("toy: fitness is not finite for row 1, input array([0.3, 0.7])")
+    assert "0.9" not in message  # the offending row, not the whole batch

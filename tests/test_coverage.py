@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from failcover import coverage
-from failcover.core import RunLog, unit_box
+from failcover.core import OracleSpec, ProblemDefinition, RunLog, unit_box
 from failcover.coverage import (
     CidParams,
     ConvergenceCheckpoint,
@@ -32,6 +32,7 @@ from failcover.problems import (
     TWO_REGION_MARGINS,
     build_two_ball,
     build_two_region,
+    doi_volume_estimate,
     get_problem,
     two_region_failing_area,
 )
@@ -496,6 +497,65 @@ def test_refset_cache_interrupted_sidecar_write_leaves_no_hit(tmp_path, monkeypa
     assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.tmp"))
     rebuilt = build_reference_set(sp, GRID_16, cache_dir=tmp_path)
     assert_same_refset(rebuilt, build_reference_set(sp, GRID_16))
+
+
+#: Cache-key digests of grid k=16 reference sets. The file name of a cached
+#: set holds the first 12 hex digits, so any change here orphans every cache.
+CACHE_KEY_DIGESTS = [
+    ("two_ball", "Large", "73d486c2d333e5646e008762b0d9dded18d10a4a603d54b6e8ad59a3502db1a2"),
+    ("avp_analog", "Medium", "6eea162647d0fd45aff111be261e1f346b3f92d752fd18ef09f8d43198e10fa2"),
+    ("two_region", "Small", "aab4ef93f192c2855d6055541115a91868231d3527ceb671ced68be85c1eecb0"),
+]
+
+
+@pytest.mark.parametrize("name, variant, digest", CACHE_KEY_DIGESTS)
+def test_refset_cache_key_digest_is_pinned(name, variant, digest):
+    key = coverage._cache_key(get_problem(name, variant), "grid", {"k": 16})
+    assert coverage._digest(key) == digest
+
+
+# --- the fitness contract on reference sets and the failure-region estimate ---------
+
+
+def _nan_where_x1_below_a_tenth(X: np.ndarray) -> np.ndarray:
+    """Fitness (x1, x2), NaN in f1 where x1 < 0.1: 11 rows of a k=11 grid."""
+    F = X.copy()
+    F[X[:, 0] < 0.1, 0] = np.nan
+    return F
+
+
+BROKEN_FITNESS = [
+    pytest.param(_nan_where_x1_below_a_tenth, r"broken: fitness is not finite for row \d+, input",
+                 id="nan"),
+    pytest.param(lambda X: np.column_stack([X, X[:, 0]]),
+                 r"broken: fitness_batch returned shape \(\d+, 3\)", id="wrong-shape"),
+]
+
+
+def _broken_problem(fitness_batch) -> ProblemDefinition:
+    return ProblemDefinition(
+        name="broken",
+        space=unit_box(2),
+        objective_count=2,
+        fitness_batch=fitness_batch,
+        oracle=OracleSpec(clauses=((0, 0.5), (1, 0.5))),
+    )
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("fitness_batch, message", BROKEN_FITNESS)
+def test_refset_rejects_a_broken_fitness(fitness_batch, message, cached, tmp_path):
+    problem = _broken_problem(fitness_batch)
+    with pytest.raises(ValueError, match=message):
+        build_reference_set(problem, {"strategy": "grid", "params": {"k": 11}},
+                            cache_dir=tmp_path if cached else None)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fitness_batch, message", BROKEN_FITNESS)
+def test_doi_volume_estimate_rejects_a_broken_fitness(fitness_batch, message):
+    with pytest.raises(ValueError, match=message):
+        doi_volume_estimate(_broken_problem(fitness_batch), k=11)
 
 
 def test_refset_load_rejects_tampered_points(tmp_path):
