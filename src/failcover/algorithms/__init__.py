@@ -43,12 +43,10 @@ from .random_search import RandomSearchConfig, run_random_search
 
 @dataclass(frozen=True)
 class Algorithm:
-    """A registered algorithm: its config dataclass, runner, batch field and presets."""
+    """A registered algorithm: its config dataclass, runner and presets."""
 
     config: type
     run: Callable[[ProblemDefinition, Any, int], RunLog]
-    #: Config field holding the generation size: population, swarm or rs batch.
-    batch_field: str
     #: Named hyperparameter presets at the two studied scales.
     presets: dict[str, dict]
 
@@ -59,15 +57,15 @@ class Algorithm:
 
 
 REGISTRY: dict[str, Algorithm] = {
-    "rs": Algorithm(RandomSearchConfig, run_random_search, "batch_size",
+    "rs": Algorithm(RandomSearchConfig, run_random_search,
                     {"avp": {"batch_size": 40}, "mnist": {"batch_size": 20}}),
-    "nsga2": Algorithm(Nsga2Config, run_nsga2, "population_size",
+    "nsga2": Algorithm(Nsga2Config, run_nsga2,
                        {"avp": {"population_size": 40}, "mnist": {"population_size": 20}}),
-    "nsga2d": Algorithm(NsgaDConfig, run_nsga2, "population_size", {
+    "nsga2d": Algorithm(NsgaDConfig, run_nsga2, {
         "avp": {"population_size": 40, "archive_threshold": 0.29},
         "mnist": {"population_size": 20, "archive_threshold": 1.77},
     }),
-    "omopso": Algorithm(OmopsoConfig, run_omopso, "swarm_size",
+    "omopso": Algorithm(OmopsoConfig, run_omopso,
                         {"avp": {"swarm_size": 40}, "mnist": {"swarm_size": 20}}),
 }
 ALGORITHM_NAMES = tuple(REGISTRY)

@@ -228,6 +228,9 @@ class RunLog:
     ``generation`` and ``novelty``. Algorithms set ``generation`` before each
     batch and call :meth:`evaluate` once per candidate; the log enforces
     bounds, counts the budget, applies the oracle and fills the next row.
+    ``generation`` is ``row // batch_size`` for rs; 0 for NSGA-II's initial
+    population, then g for generation g's offspring and repopulated victims;
+    and for OMOPSO 0 for the initial swarm, then one more per swarm pass.
     ``novelty`` stays NaN unless the algorithm writes it (nsga2d logs each
     input's distance to its novelty archive). :attr:`evaluations` is the
     filled part of the table, and ``len(log)`` its row count.

@@ -149,6 +149,10 @@ def convergence_series(
     if len(Z) == 0:
         raise ValueError("reference set is empty; CID needs at least one reference point")
     inputs, failed = history.evaluations.input, history.evaluations.failed
+    if Z.shape[1] != inputs.shape[1]:
+        raise ValueError(
+            f"reference set is {Z.shape[1]}-D, the run's inputs are {inputs.shape[1]}-D"
+        )
     n = len(failed)
     marks = list(range(interval, n + 1, interval))
     if not marks or marks[-1] != n:
@@ -179,12 +183,10 @@ def failure_count(history: RunLog) -> int:
     return int(history.evaluations.failed.sum())
 
 
-def first_failure_iteration(history: RunLog, batch_size: int) -> int | None:
-    """1-based generation of the earliest failure, batching by ``batch_size``."""
-    if batch_size < 1:
-        raise ValueError(f"batch size must be positive, got {batch_size}")
+def first_failure_iteration(history: RunLog) -> int | None:
+    """1-based ``generation`` the run log records for its first failure; None if none failed."""
     hits = np.flatnonzero(history.evaluations.failed)
-    return int(hits[0]) // batch_size + 1 if len(hits) else None
+    return int(history.evaluations.generation[hits[0]]) + 1 if len(hits) else None
 
 
 # --- reference-set construction and persistence ------------------------------
@@ -299,10 +301,13 @@ def _points_csv_bytes(points: np.ndarray) -> bytes:
 
 
 def _parse_points_csv(payload: bytes, source: Path) -> np.ndarray:
-    rows = list(csv.reader(payload.decode().splitlines()))
-    if not rows or not rows[0] or not rows[0][0].startswith("x"):
+    header, *rows = list(csv.reader(payload.decode().splitlines())) or [[]]
+    if not header or not header[0].startswith("x"):
         raise ValueError(f"{source}: expected a header row x1,...,xn")
-    return np.array([[float(v) for v in row] for row in rows[1:]])
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{source}: line {line} holds {len(row)} values, not {len(header)}")
+    return np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), len(header))
 
 
 def read_points(csv_path: str | Path) -> np.ndarray:

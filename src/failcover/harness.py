@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -58,13 +57,6 @@ class AlgorithmSpec:
     name: str
     #: Preset values merged with the config's overrides, as written in the config.
     params: dict
-    #: The algorithm's config dataclass built from ``params`` and the budget.
-    config: Any
-
-    @property
-    def batch_size(self) -> int:
-        """Generation batch size: population, swarm, or the rs batch parameter."""
-        return getattr(self.config, REGISTRY[self.name].batch_field)
 
 
 @dataclass(frozen=True)
@@ -189,10 +181,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
             params.update(presets[preset])
         params.update(_mapping(entry.get("params", {}), f"{path}.params"))
         try:
-            config = make_config(name, budget, params)
+            make_config(name, budget, params)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}.params: {exc}") from exc
-        algorithms.append(AlgorithmSpec(name=name, params=params, config=config))
+        algorithms.append(AlgorithmSpec(name=name, params=params))
     if len({a.name for a in algorithms}) != len(algorithms):
         raise ConfigError("config.algorithms: each algorithm may appear only once")
 
@@ -266,7 +258,6 @@ class RunRecord:
     algorithm: str
     repetition: int
     seed: int
-    batch_size: int
     history: RunLog
     series: ConvergenceSeries
 
@@ -315,6 +306,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     problem = get_problem(config.problem_name, config.variant, **config.problem_params)
     refset = (load_reference_set(config.refset_spec["path"]) if "path" in config.refset_spec
               else build_reference_set(problem, config.refset_spec, cache_dir=out_dir / "refsets"))
+    if refset.points.shape[1] != problem.space.dims:
+        raise ConfigError(f"config.refset.path: the reference set is {refset.points.shape[1]}-D, "
+                          f"{config.problem_name}'s inputs are {problem.space.dims}-D")
 
     runs: list[RunRecord] = []
     for spec in config.algorithms:
@@ -330,7 +324,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
                     algorithm=spec.name,
                     repetition=rep,
                     seed=seed,
-                    batch_size=spec.batch_size,
                     history=history,
                     series=series,
                 )
@@ -409,11 +402,7 @@ def summarize(config: ExperimentConfig, runs: list[RunRecord]) -> list[dict]:
         mine = [r for r in runs if r.algorithm == spec.name]
         finals = [r.final_cid for r in mine if r.final_cid is not None]
         fails = [failure_count(r.history) for r in mine]
-        firsts = [
-            f
-            for r in mine
-            if (f := first_failure_iteration(r.history, r.batch_size)) is not None
-        ]
+        firsts = [f for r in mine if (f := first_failure_iteration(r.history)) is not None]
         out.append(
             {
                 "algorithm": spec.name,
@@ -450,7 +439,6 @@ def _write_manifest(
                 "algorithm": r.algorithm,
                 "repetition": r.repetition,
                 "seed": r.seed,
-                "batch_size": r.batch_size,
             }
             for r in runs
         ],

@@ -330,7 +330,7 @@ def test_criterion_10_pareto_search_finds_first_failure_sooner():
         iterations = []
         for rep in range(REPETITIONS):
             history = fc.run_algorithm(name, sp, 2000, BASE_SEED + rep, params)
-            first = fc.first_failure_iteration(history, 40)
+            first = fc.first_failure_iteration(history)
             assert first is not None, f"{name} found no failure with seed {BASE_SEED + rep}"
             iterations.append(first)
         means[name] = float(np.mean(iterations))

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import failcover
 
@@ -34,6 +36,7 @@ from failcover.algorithms import (
 )
 from failcover.algorithms import omopso
 from failcover.core import RunLog, dominates, unit_box
+from failcover.coverage import first_failure_iteration
 from failcover.problems import doi_volume_estimate, get_problem
 from failcover.samplers import make_rng
 
@@ -282,6 +285,38 @@ def test_nsga2d_replacement_counts_per_generation():
     assert per_gen[1] == 44  # 40 offspring + ceil(0.1 * 40) = 4 replacements
     assert per_gen[2] == 44
     assert len(hist) == 172
+
+
+def test_nsga2d_first_failure_iteration_is_the_logged_generation():
+    # Generation 1 holds rows 20-41: 20 offspring and 2 repopulated victims.
+    # The first failure, row 40, is its first victim, so it is in logged
+    # generation 1, though 40 // 20 + 1 is 3.
+    hist = run_algorithm("nsga2d", get_problem("two_region", "Small"), 2000, 19,
+                         {"population_size": 20})
+    assert np.flatnonzero(hist.evaluations.failed)[0] == 40
+    assert first_failure_iteration(hist) == 2
+
+
+SIZE_FIELDS = {"rs": "batch_size", "nsga2": "population_size", "omopso": "swarm_size"}
+
+
+@given(
+    name=st.sampled_from(sorted(SIZE_FIELDS)),
+    problem_name=st.sampled_from(["two_ball", "avp_analog"]),
+    size=st.integers(4, 24),
+    extra=st.integers(0, 150),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_first_failure_iteration_matches_the_row_count(name, problem_name, size, extra, seed):
+    # rs, nsga2 and omopso log generations of ``size`` rows each, so the
+    # logged generation of row i is i // size, also when the budget ends
+    # mid-generation.
+    size += size % 2 if name == "nsga2" else 0  # a population is even
+    hist = run_algorithm(name, get_problem(problem_name, "Small"), size + extra, seed,
+                         {SIZE_FIELDS[name]: size})
+    hits = np.flatnonzero(hist.evaluations.failed)
+    assert first_failure_iteration(hist) == (int(hits[0]) // size + 1 if len(hits) else None)
 
 
 def test_nsga2d_huge_threshold_archive_holds_one():

@@ -26,6 +26,7 @@ from failcover.coverage import (
     first_failure_iteration,
     load_reference_set,
     max_nearest_neighbor_distance,
+    read_points,
     save_reference_set,
 )
 from failcover.problems import (
@@ -48,8 +49,8 @@ def brute_force_cid(A, Z, p=2.0, q=1.0):
     return total ** (1.0 / q) / len(Z)
 
 
-def fake_history(inputs, failed, dims=2) -> RunLog:
-    """A two_ball run log whose inputs and verdicts are given, not evaluated.
+def fake_history(inputs, failed, dims=2, generation=0) -> RunLog:
+    """A two_ball run log whose inputs, verdicts and generations are given, not evaluated.
 
     For ``dims`` other than 2 the problem's box becomes the unit box of ``dims``.
     """
@@ -59,6 +60,7 @@ def fake_history(inputs, failed, dims=2) -> RunLog:
     rows = log.table[:n]
     rows.input = np.asarray(inputs, dtype=float).reshape(n, dims)
     rows.failed = failed
+    rows.generation = generation
     log.used = n
     return log
 
@@ -224,18 +226,29 @@ def test_series_interval_validation():
         convergence_series(hist, np.array([[0.0, 0.0]]), interval=0)
 
 
+@pytest.mark.parametrize("failed", [[True, False], [False, False]])
+def test_series_rejects_a_reference_set_of_another_dimensionality(failed):
+    hist = fake_history([[0.1, 0.1], [0.2, 0.2]], failed)
+    with pytest.raises(ValueError, match="reference set is 3-D, the run's inputs are 2-D"):
+        convergence_series(hist, np.zeros((4, 3)))
+
+
 # --- failure metrics -----------------------------------------------------------------------
 
 
 def test_first_failure_iteration_examples():
-    hist = fake_history([[0.1, 0.1]] * 50, [True] + [False] * 49)
-    assert first_failure_iteration(hist, 40) == 1
-    hist2 = fake_history([[0.1, 0.1]] * 50, [False] * 41 + [True] + [False] * 8)
-    assert first_failure_iteration(hist2, 40) == 2
-    hist3 = fake_history([[0.1, 0.1]] * 50, [False] * 50)
-    assert first_failure_iteration(hist3, 40) is None
-    with pytest.raises(ValueError, match="batch"):
-        first_failure_iteration(hist, 0)
+    blocks = np.arange(50) // 40
+    hist = fake_history([[0.1, 0.1]] * 50, [True] + [False] * 49, generation=blocks)
+    assert first_failure_iteration(hist) == 1
+    hist2 = fake_history([[0.1, 0.1]] * 50, [False] * 41 + [True] + [False] * 8, generation=blocks)
+    assert first_failure_iteration(hist2) == 2
+    hist3 = fake_history([[0.1, 0.1]] * 50, [False] * 50, generation=blocks)
+    assert first_failure_iteration(hist3) is None
+    # A generation of 20 offspring and 10 repopulated victims: row 45 is in
+    # logged generation 1, though 45 // 20 + 1 would say 3.
+    nsga2d = np.repeat([0, 1], [20, 30])
+    hist4 = fake_history([[0.1, 0.1]] * 50, [False] * 45 + [True] * 5, generation=nsga2d)
+    assert first_failure_iteration(hist4) == 2
 
 
 def test_failure_count_examples():
@@ -246,7 +259,8 @@ def test_failure_count_examples():
 
 
 # The list-based metrics that read one Python object per evaluation, verbatim
-# but for their names; the column operations must give the same values.
+# but for their names (the first-failure one reads each record's logged
+# generation); the column operations must give the same values.
 
 
 def list_convergence_series(
@@ -287,27 +301,24 @@ def list_failure_count(history) -> int:
     return sum(1 for ev in history.evaluations if ev.failed)
 
 
-def list_first_failure_iteration(history, batch_size: int) -> int | None:
-    if batch_size < 1:
-        raise ValueError(f"batch size must be positive, got {batch_size}")
+def list_first_failure_iteration(history) -> int | None:
     for ev in history.evaluations:
         if ev.failed:
-            return ev.index // batch_size + 1
+            return ev.generation + 1
     return None
 
 
-def assert_metrics_match_the_list_versions(inputs, failed, Z, params, interval, batch_size):
-    columns = fake_history(inputs, failed, dims=Z.shape[1])
+def assert_metrics_match_the_list_versions(inputs, failed, Z, params, interval, generation):
+    columns = fake_history(inputs, failed, dims=Z.shape[1], generation=generation)
     objects = SimpleNamespace(evaluations=[
-        SimpleNamespace(index=i, input=np.asarray(x, dtype=float), failed=bool(f))
-        for i, (x, f) in enumerate(zip(inputs, failed))
+        SimpleNamespace(input=np.asarray(x, dtype=float), failed=bool(f), generation=int(g))
+        for x, f, g in zip(inputs, failed, generation)
     ])
     got = convergence_series(columns, Z, params, interval)
     want = list_convergence_series(objects, Z, params, interval)
     assert got == want
     assert failure_count(columns) == list_failure_count(objects)
-    assert (first_failure_iteration(columns, batch_size)
-            == list_first_failure_iteration(objects, batch_size))
+    assert first_failure_iteration(columns) == list_first_failure_iteration(objects)
 
 
 @pytest.mark.parametrize("failed, interval", [
@@ -320,7 +331,8 @@ def test_metrics_match_the_list_versions_on_edge_cases(failed, interval):
     rng = make_rng(48)
     inputs = rng.uniform(0, 1, size=(len(failed), 2))
     Z = rng.uniform(0, 1, size=(7, 2))
-    assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(), interval, 4)
+    generation = np.arange(len(failed)) // 4
+    assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(), interval, generation)
 
 
 @given(
@@ -328,24 +340,27 @@ def test_metrics_match_the_list_versions_on_edge_cases(failed, interval):
     n=st.integers(0, 60),
     dims=st.sampled_from([1, 2, 3, 5]),
     interval=st.integers(1, 80),
-    batch_size=st.integers(1, 70),
     p=st.sampled_from([1.0, 1.5, 2.0, 3.5]),
     q=st.sampled_from([1.0, 2.0]),
     extra=st.integers(0, 150),
 )
 @settings(max_examples=200, deadline=None)
-def test_metrics_match_the_list_versions(data, n, dims, interval, batch_size, p, q, extra):
+def test_metrics_match_the_list_versions(data, n, dims, interval, p, q, extra):
     unit = st.floats(0.0, 1.0, allow_nan=False)
     point = st.lists(unit, min_size=dims, max_size=dims)
     inputs = np.array(data.draw(st.lists(point, min_size=n, max_size=n))).reshape(n, dims)
     failed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # Logged generations never decrease; a step of 0 keeps a row in its
+    # predecessor's generation, a step above 1 skips a generation.
+    steps = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    generation = np.cumsum(steps, dtype=np.int64)
     # Drawn reference points, and up to 150 more: mostly more than one
     # checkpoint's fresh failures, as reference sets are. Some repeat inputs.
     Z = np.array(data.draw(st.lists(point, min_size=1, max_size=9)))
     more = make_rng(extra, dims).uniform(0.0, 1.0, size=(extra, dims))
     Z = np.concatenate([Z, more, inputs[: extra // 10]])
     assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(p=p, q=q), interval,
-                                           batch_size)
+                                           generation)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -356,7 +371,8 @@ def test_series_matches_the_list_version_on_a_benchmark_sized_reference_set(p):
     inputs = rng.uniform(0.0, 1.0, size=(400, 3))
     failed = rng.random(400) < 0.3
     Z = grid_sample(unit_box(3), 18)
-    assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(p=p), 10, 40)
+    assert_metrics_match_the_list_versions(inputs, failed, Z, CidParams(p=p), 10,
+                                           np.arange(400) // 40)
 
 
 # --- reference sets -----------------------------------------------------------------------
@@ -567,6 +583,25 @@ def test_refset_load_rejects_tampered_points(tmp_path):
     path.write_text(text[:digit] + str(int(text[digit]) % 9 + 1) + text[digit + 1 :])
     with pytest.raises(ReferenceSetIntegrityError, match="content_hash"):
         load_reference_set(path)
+
+
+@pytest.mark.parametrize("body, line", [
+    pytest.param("1,2,3\n4,5,6\n", 2, id="wide-rows"),
+    pytest.param("1,2\n3\n", 3, id="short-row"),
+    pytest.param("1,2\n\n3,4\n", 3, id="blank-line"),
+])
+def test_point_rows_must_match_the_header(tmp_path, body, line):
+    path = tmp_path / "points.csv"
+    path.write_text("x1,x2\n" + body)
+    for read in (read_points, load_reference_set):
+        with pytest.raises(ValueError, match=f"points.csv: line {line} holds"):
+            read(path)
+
+
+def test_a_header_only_point_file_holds_no_points_of_the_header_width(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("x1,x2,x3\n")
+    assert read_points(path).shape == (0, 3)
 
 
 def test_refset_save_load_round_trip(tmp_path):

@@ -483,6 +483,35 @@ def test_empty_refset_aborts_cleanly(tmp_path):
     assert not list((tmp_path / "doomed").glob("*.csv"))
 
 
+def test_refset_of_another_dimensionality_fails_before_any_run(tmp_path, monkeypatch):
+    path = tmp_path / "ref3d.csv"
+    path.write_text("x1,x2,x3\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    raw = make_config(refset={"path": str(path)})
+
+    def no_run(*args):
+        raise AssertionError("an algorithm ran")
+
+    monkeypatch.setattr(harness, "run_algorithm", no_run)
+    with pytest.raises(ValueError, match="reference set is 3-D, two_ball's inputs are 2-D"):
+        run_experiment(parse_config(raw), tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_refset_of_another_dimensionality_fails_without_failures(tmp_path):
+    # A one-evaluation run finds no failure, so no distance to the set is ever taken.
+    path = tmp_path / "ref2d.csv"
+    path.write_text("x1,x2\n0.1,0.2\n")
+    raw = make_config(problem={"name": "avp_analog", "variant": "Small"},
+                      algorithms=[{"name": "rs"}], budget=1, repetitions=1,
+                      refset={"path": str(path)})
+    with pytest.raises(ValueError, match="reference set is 2-D, avp_analog's inputs are 3-D"):
+        run_experiment(parse_config(raw), tmp_path / "out")
+    assert not list((tmp_path / "out").iterdir())
+
+
 class FailingHandle:
     """A text file whose writes stop with ``OSError`` after ``limit`` characters.
 
