@@ -12,6 +12,11 @@ factor sits outside the q-th root, exactly as in the defining formula.
 Reference sets are the failing points among a space-filling sample of the
 search domain, persisted as CSV plus a JSON provenance sidecar and cached by
 their construction key.
+
+``import failcover`` loads numpy only; ``scipy.spatial`` is loaded at the first
+distance computation (``cid``, ``convergence_series`` or
+``max_nearest_neighbor_distance``), so parsing configs, comparing and
+reporting never pay for it.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .core import ProblemDefinition, RunLog, atomic_open, check_finite_real
 from .samplers import grid_step_diagonal, make_rng, sample_by_name
@@ -113,6 +116,8 @@ def cid(test_set, reference, params: CidParams = CidParams()) -> float:
             f"dimensionality mismatch: test points are {A.shape[1]}-D, "
             f"reference points are {Z.shape[1]}-D"
         )
+    from scipy.spatial import cKDTree
+
     nearest, _ = cKDTree(A).query(Z, p=params.p)
     return _aggregate(np.atleast_1d(nearest), params.q, len(Z))
 
@@ -158,6 +163,8 @@ def convergence_series(
     if not marks or marks[-1] != n:
         marks.append(n)
 
+    from scipy.spatial.distance import cdist
+
     best = np.full(len(Z), np.inf)
     failures = 0
     cursor = 0
@@ -201,6 +208,8 @@ def max_nearest_neighbor_distance(points: np.ndarray) -> float:
     """Largest nearest-neighbor distance; 0 for fewer than two points."""
     if len(points) < 2:
         return 0.0
+    from scipy.spatial import cKDTree
+
     d, _ = cKDTree(points).query(points, k=2)
     return float(np.max(d[:, 1]))
 
@@ -372,6 +381,7 @@ def load_reference_set(csv_path: str | Path) -> ReferenceSet:
         sampler_params=meta.get("params", {}),
         total_sampled=int(meta.get("total_sampled", len(points))),
         max_adjacent_distance=float(
-            meta.get("max_adjacent_distance", max_nearest_neighbor_distance(points))
+            meta["max_adjacent_distance"] if "max_adjacent_distance" in meta
+            else max_nearest_neighbor_distance(points)
         ),
     )

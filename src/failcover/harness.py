@@ -103,6 +103,14 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _string(mapping: dict, key: str, path: str) -> str:
+    """``mapping[key]``; ``ConfigError`` unless it is present and a string."""
+    value = _require(mapping, key, path)
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
+    return value
+
+
 def _integer(mapping: dict, key: str, path: str, default: int | None = None) -> int:
     """``mapping[key]`` (or ``default``) as an int; ``ConfigError`` unless it is an integer."""
     value = _require(mapping, key, path) if default is None else mapping.get(key, default)
@@ -137,7 +145,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     problem = _require(raw, "problem", "config")
     _reject_unknown(problem, {"name", "variant", "params"}, "config.problem")
-    problem_name = _require(problem, "name", "config.problem")
+    problem_name = _string(problem, "name", "config.problem")
     if problem_name not in CATALOG:
         raise ConfigError(
             f"config.problem.name: unknown problem {problem_name!r}, "
@@ -165,7 +173,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for idx, entry in enumerate(raw_algorithms):
         path = f"config.algorithms[{idx}]"
         _reject_unknown(entry, {"name", "preset", "params"}, path)
-        name = _require(entry, "name", path)
+        name = _string(entry, "name", path)
         if name not in REGISTRY:
             raise ConfigError(
                 f"{path}.name: unknown algorithm {name!r}, expected one of {ALGORITHM_NAMES}"
@@ -200,7 +208,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "path" in refset:
         if "strategy" in refset or "params" in refset:
             raise ConfigError("config.refset: give either a path or a strategy, not both")
-        refset_spec = {"path": str(refset["path"])}
+        refset_spec = {"path": _string(refset, "path", "config.refset")}
     else:
         strategy = _require(refset, "strategy", "config.refset")
         try:
@@ -306,6 +314,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
     problem = get_problem(config.problem_name, config.variant, **config.problem_params)
     refset = (load_reference_set(config.refset_spec["path"]) if "path" in config.refset_spec
               else build_reference_set(problem, config.refset_spec, cache_dir=out_dir / "refsets"))
+    if len(refset) == 0:
+        raise ConfigError(f"config.refset.path: {config.refset_spec['path']} holds no points")
     if refset.points.shape[1] != problem.space.dims:
         raise ConfigError(f"config.refset.path: the reference set is {refset.points.shape[1]}-D, "
                           f"{config.problem_name}'s inputs are {problem.space.dims}-D")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OracleSpec, ProblemDefinition, unit_box
+from .core import OracleSpec, ProblemDefinition, check_finite_real, unit_box
 from .samplers import grid_sample
 
 VARIANTS = ("Large", "Medium", "Small")
@@ -81,6 +81,8 @@ def build_two_ball(
         dt1, dt2 = TWO_BALL_RADII[variant]
         t1 = dt1 if t1 is None else t1
         t2 = dt2 if t2 is None else t2
+    check_finite_real("disc radius t1", t1)
+    check_finite_real("disc radius t2", t2)
     if t1 <= 0 or t2 <= 0:
         raise ValueError(f"disc radii must be positive, got ({t1}, {t2})")
 
@@ -150,6 +152,7 @@ def build_two_region(
         if variant not in TWO_REGION_MARGINS:
             raise ValueError(f"unknown two_region variant {variant!r}")
         margin = TWO_REGION_MARGINS[variant]
+    check_finite_real("margin", margin)
     if margin <= 0:
         raise ValueError(f"margin must be positive, got {margin}")
     center_a = (a_lo + a_hi) / 2.0

@@ -604,6 +604,23 @@ def test_a_header_only_point_file_holds_no_points_of_the_header_width(tmp_path):
     assert read_points(path).shape == (0, 3)
 
 
+def test_refset_load_reads_r_star_from_the_sidecar_without_a_neighbour_search(
+    tmp_path, monkeypatch
+):
+    refset = build_reference_set(build_two_ball("Large"), GRID_16)
+    path = save_reference_set(refset, tmp_path / "ref.csv")
+    want = max_nearest_neighbor_distance(refset.points)
+
+    def no_search(points):
+        raise AssertionError("searched for nearest neighbours")
+
+    monkeypatch.setattr(coverage, "max_nearest_neighbor_distance", no_search)
+    assert load_reference_set(path).max_adjacent_distance == refset.max_adjacent_distance
+    monkeypatch.undo()
+    (tmp_path / "ref.json").unlink()
+    assert load_reference_set(path).max_adjacent_distance == want
+
+
 def test_refset_save_load_round_trip(tmp_path):
     sp = build_two_region("Medium")
     refset = build_reference_set(sp, {"strategy": "grid", "params": {"k": 40}})

@@ -326,6 +326,38 @@ def test_config_sections_must_be_objects(overrides, path):
         parse_config(make_config(**overrides))
 
 
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"problem": {"name": ["two_ball"]}}, r"config\.problem\.name"),
+        ({"algorithms": [{"name": ["rs"]}]}, r"config\.algorithms\[0\]\.name"),
+        ({"refset": {"path": 3}}, r"config\.refset\.path"),
+    ],
+)
+def test_names_and_refset_path_must_be_strings(tmp_path, capsys, overrides, path):
+    raw = make_config(**overrides)
+    with pytest.raises(ConfigError, match=rf"^{path}: expected a string, got "):
+        parse_config(raw)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert "expected a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"name": "two_ball", "params": {"t1": float("nan")}},
+        {"name": "two_ball", "params": {"t2": float("inf")}},
+        {"name": "two_region", "params": {"margin": float("nan")}},
+    ],
+)
+def test_problem_thresholds_must_be_finite_at_parse(problem):
+    with pytest.raises(ConfigError,
+                       match=r"^config\.problem\.params: .* must be a finite real number"):
+        parse_config(make_config(problem=problem))
+
+
 def test_unhashable_preset_is_a_config_error():
     raw = make_config(algorithms=[{"name": "rs", "preset": []}])
     with pytest.raises(ConfigError, match=r"config\.algorithms\[0\]\.preset: unknown preset \[\]"):
@@ -497,6 +529,24 @@ def test_refset_of_another_dimensionality_fails_before_any_run(tmp_path, monkeyp
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(raw))
     assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_empty_refset_file_fails_before_any_run(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("x1,x2\n")
+    raw = make_config(refset={"path": str(path)})
+
+    def no_run(*args):
+        raise AssertionError("an algorithm ran")
+
+    monkeypatch.setattr(harness, "run_algorithm", no_run)
+    with pytest.raises(ConfigError, match=r"^config\.refset\.path: .*empty\.csv holds no points"):
+        run_experiment(parse_config(raw), tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    assert "holds no points" in capsys.readouterr().err
     assert not list((tmp_path / "out").iterdir())
 
 

@@ -1,6 +1,8 @@
 """Synthetic problems: closed-form fitness values, failure-region membership,
 variant nesting, and analytic area cross-checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,22 @@ def test_two_ball_rejects_bad_params():
         build_two_ball(c1=(0.5, 0.5), c2=(0.5, 0.5))
     with pytest.raises(ValueError, match="positive"):
         build_two_ball(t1=-0.1, t2=0.3)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("two_ball", {"t1": math.nan}),
+        ("two_ball", {"t2": math.nan}),
+        ("two_ball", {"t1": math.inf}),
+        ("two_ball", {"t1": 0.3, "t2": True}),
+        ("two_region", {"margin": math.nan}),
+        ("two_region", {"margin": math.inf}),
+    ],
+)
+def test_problem_thresholds_must_be_finite(name, params):
+    with pytest.raises(ValueError, match="must be a finite real number"):
+        get_problem(name, "Large", **params)
 
 
 def test_two_ball_pareto_segment_witness():

@@ -320,3 +320,33 @@ def test_import_and_parse_config_leave_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_work_without_distances_leaves_scipy_unloaded(tmp_path):
+    # A tiny result directory, written here, for the child's compare and report.
+    raw = {"problem": {"name": "two_ball"}, "budget": 40, "repetitions": 2,
+           "algorithms": [{"name": "rs"}, {"name": "nsga2", "params": {"population_size": 10}}],
+           "base_seed": 0, "refset": {"strategy": "grid", "params": {"k": 8}}}
+    out = tmp_path / "out"
+    failcover.run_experiment(failcover.parse_config(raw), out)
+    test_set, reference = [[0.1, 0.2], [0.5, 0.5]], [[0.4, 0.5], [0.6, 0.45], [0.9, 0.1]]
+    src = Path(failcover.__file__).resolve().parent.parent
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import failcover\n"
+        "from failcover.cli import main\n"
+        f"failcover.parse_config({raw!r})\n"
+        f"for argv in (['problems', 'list'], ['compare', '--in', {str(out)!r}],"
+        f" ['report', '--in', {str(out)!r}]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        f"value = failcover.cid({test_set!r}, {reference!r})\n"
+        "assert 'scipy.spatial' in sys.modules\n"
+        "print(repr(value))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(failcover.cid(test_set, reference))
