@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -118,63 +119,89 @@ def reflect_boundary(
 class LeaderArchive:
     """Bounded archive of mutually non-dominated solutions.
 
-    Members are the rows of ``positions`` (n, d) and ``fitness`` (n, m), in
-    insertion order. Insertion filters by dominance with one mask over the
-    fitness matrix per direction; overflow evicts the most crowded member
-    (lowest crowding distance, first index on ties). The crowding distances
-    that leader selection reads are computed on first use and cached until
-    the next accepted insert; a rejected insert changes nothing.
+    Members are the entries of ``positions`` and ``fitness``, lists of Python
+    float lists, in insertion order. Insertion scans the members with the
+    ``<=`` and ``<`` of :func:`core.dominates` and stops at the first member
+    that dominates the candidate; overflow evicts the most crowded member
+    (lowest crowding distance, first index on ties). Crowding distance is the
+    only matrix operation: eviction and leader selection build the fitness
+    matrix from the same doubles when they need it. The distances that leader
+    selection reads are cached until the next accepted insert; a rejected
+    insert changes nothing.
     """
 
     def __init__(self, capacity: int):
+        check_integer("archive capacity", capacity)
         if capacity < 1:
             raise ValueError(f"archive capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.positions = np.empty((0, 0))
-        self.fitness = np.empty((0, 0))
+        self.positions: list[list[float]] = []
+        self.fitness: list[list[float]] = []
         self._crowding: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
 
-    def add(self, position: np.ndarray, fitness: np.ndarray) -> bool:
+    def add(self, position: Sequence[float], fitness: Sequence[float]) -> bool:
         """Insert unless dominated; evict members the candidate dominates."""
-        position = np.array(position, dtype=float)
-        fitness = np.array(fitness, dtype=float)
-        if len(self):
-            # Row i of these masks compares member i with the candidate, with the
-            # <= and < of core.dominates. Fitness is finite, so the candidate
-            # dominates member i exactly when neither mask holds for that row.
-            no_worse = (self.fitness <= fitness).all(axis=1)
-            better = (self.fitness < fitness).any(axis=1)
-            if (no_worse & better).any():
+        position = [float(v) for v in position]
+        fitness = [float(v) for v in fitness]
+        if self.fitness and (len(position), len(fitness)) != (
+            len(self.positions[0]), len(self.fitness[0])
+        ):
+            raise ValueError(
+                f"candidate has {len(position)} variables and {len(fitness)} objectives, "
+                f"members have {len(self.positions[0])} and {len(self.fitness[0])}"
+            )
+        dominated = []
+        for k, member in enumerate(self.fitness):
+            # The member is no worse than the candidate everywhere, or strictly
+            # better somewhere: both when it dominates the candidate, neither
+            # when the candidate dominates it (fitness is finite).
+            no_worse, better = True, False
+            for a, b in zip(member, fitness):
+                if a < b:
+                    better = True
+                elif not a <= b:
+                    no_worse = False
+            if no_worse and better:
                 return False
-            keep = no_worse | better
-            self.positions = np.vstack([self.positions[keep], position])
-            self.fitness = np.vstack([self.fitness[keep], fitness])
-        else:
-            self.positions = position[None, :]
-            self.fitness = fitness[None, :]
-        if len(self) > self.capacity:
-            evict = int(np.argmin(crowding_distance(self.fitness)))
-            self.positions = np.delete(self.positions, evict, axis=0)
-            self.fitness = np.delete(self.fitness, evict, axis=0)
+            if not (no_worse or better):
+                dominated.append(k)
+        for k in reversed(dominated):
+            del self.positions[k]
+            del self.fitness[k]
+        self.positions.append(position)
+        self.fitness.append(fitness)
+        if len(self.fitness) > self.capacity:
+            evict = int(np.argmin(crowding_distance(self._fitness_matrix())))
+            del self.positions[evict]
+            del self.fitness[evict]
         self._crowding = None
         return True
 
-    def select_leader(self, rng: np.random.Generator) -> np.ndarray:
-        """Binary tournament on crowding distance (less crowded member wins)."""
+    def select_leader(self, rng: np.random.Generator) -> list[float]:
+        """Binary tournament on crowding distance (less crowded member wins).
+
+        Returns the member's own position list; the caller must not change it.
+        """
         if not len(self):
             raise ValueError("cannot select a leader from an empty archive")
         if len(self) == 1:
             return self.positions[0]
         i, j = int(rng.integers(len(self))), int(rng.integers(len(self)))
         if self._crowding is None:
-            self._crowding = crowding_distance(self.fitness)
+            self._crowding = crowding_distance(self._fitness_matrix())
         crowd = self._crowding
         if crowd[i] == crowd[j]:
             return self.positions[i]
         return self.positions[i] if crowd[i] > crowd[j] else self.positions[j]
+
+    def _fitness_matrix(self) -> np.ndarray:
+        """The members' fitness as one (n, m) array; ``fromiter`` over the flattened
+        lists takes half the time of ``np.array`` over the nested ones."""
+        n, m = len(self.fitness), len(self.fitness[0])
+        return np.fromiter(chain.from_iterable(self.fitness), float, n * m).reshape(n, m)
 
 
 def _uniform_turbulence(
@@ -223,7 +250,7 @@ def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> R
     c_min, c_span = float(config.c_min), float(config.c_max) - float(config.c_min)
 
     positions = rng.uniform(space.lows, space.highs, size=(swarm, space.dims)).tolist()
-    pbest_fit = np.array([log.evaluate(x) for x in positions])
+    pbest_fit = [log.evaluate(x).tolist() for x in positions]
     archive = LeaderArchive(config.effective_archive_size)
     for x, f in zip(positions, pbest_fit):
         archive.add(x, f)
@@ -235,7 +262,7 @@ def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> R
         w = inertia_at(log.used, config.budget, config.w_min, config.w_max)
         progress = log.used / config.budget
         for i in range(min(swarm, log.remaining)):
-            leader = archive.select_leader(rng).tolist()
+            leader = archive.select_leader(rng)
             c1 = c_min + c_span * rng.random()
             c2 = c_min + c_span * rng.random()
             r1 = rng.random()
@@ -256,7 +283,7 @@ def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> R
                     space, position, config.mutation_rate, rng, progress
                 )
             positions[i] = position
-            f = log.evaluate(position)
+            f = log.evaluate(position).tolist()
             if dominates(f, pbest_fit[i]) or (
                 not dominates(pbest_fit[i], f) and rng.random() < 0.5
             ):

@@ -124,13 +124,18 @@ def dominates(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) 
     """Pareto dominance under minimization.
 
     ``a`` dominates ``b`` when it is nowhere worse and strictly better in at
-    least one component.
+    least one component. The components are compared one pair at a time with
+    ``<=`` and ``<``, so a NaN on either side rules dominance out.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"fitness vectors differ in length: {a.shape} vs {b.shape}")
-    return bool((a <= b).all() and (a < b).any())
+    if len(a) != len(b):
+        raise ValueError(f"fitness vectors differ in length: ({len(a)},) vs ({len(b)},)")
+    better = False
+    for x, y in zip(a, b):
+        if x < y:
+            better = True
+        elif not x <= y:
+            return False
+    return better
 
 
 @dataclass(frozen=True)

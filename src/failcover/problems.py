@@ -86,12 +86,13 @@ def build_two_ball(
     if t1 <= 0 or t2 <= 0:
         raise ValueError(f"disc radii must be positive, got ({t1}, {t2})")
 
+    centres = np.stack([a, b])
+
     def fitness_batch(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.empty((len(pts), 2))
-        out[:, 0] = _row_norms(pts - a)
-        out[:, 1] = _row_norms(pts - b)
-        return out
+        # Both distances in one broadcast: row i, column k is |points[i] - centres[k]|,
+        # each sum of squares one 2-term add, the doubles of _row_norms per centre.
+        d = np.asarray(points, dtype=float)[:, None, :] - centres
+        return np.sqrt(np.add.reduce(d * d, axis=2))
 
     label = variant if (t1, t2) == TWO_BALL_RADII.get(variant) else "Custom"
     oracle = OracleSpec(clauses=((0, float(t1)), (1, float(t2))), variant_label=label)

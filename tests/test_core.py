@@ -45,6 +45,37 @@ def test_dominates_length_mismatch():
         dominates([1, 2], [1, 2, 3])
 
 
+def mask_dominates(a, b) -> bool:
+    """Dominance as array masks, the form the float comparisons replaced."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"fitness vectors differ in length: {a.shape} vs {b.shape}")
+    return bool((a <= b).all() and (a < b).any())
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(SPECIAL | finite_floats, min_size=m, max_size=m),
+    st.lists(SPECIAL | finite_floats, min_size=m, max_size=m))), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_dominates_equals_the_array_masks_on_signed_zeros_infinities_and_nan(pair, as_array):
+    a, b = (np.array(v) for v in pair) if as_array else pair
+    assert dominates(a, b) is mask_dominates(a, b)
+    assert dominates(b, a) is mask_dominates(b, a)
+
+
+@pytest.mark.parametrize("a, b", [([1.0, 2.0], [1.0, 2.0, 3.0]), ([math.nan], []),
+                                  (np.zeros(3), np.zeros(2)), ([], [0.0])])
+def test_dominates_raises_the_array_error_on_mismatched_lengths(a, b):
+    with pytest.raises(ValueError) as want:
+        mask_dominates(a, b)
+    with pytest.raises(ValueError) as got:
+        dominates(a, b)
+    assert str(got.value) == str(want.value)
+
+
 @given(vectors(3), vectors(3))
 @settings(max_examples=200, deadline=None)
 def test_dominates_antisymmetry(a, b):

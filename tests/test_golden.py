@@ -86,6 +86,13 @@ GOLDEN = {
         "a95930558cf37d535c8b5755eb7dd0cdf2132908d48dbb73b8ae865fef6d768d",
         "a0e2f306117a2f6c1cce8ac372cf955d2f11a318d7f856c7e371b642268a2507",
     ),
+    # An archive of 60 that grows to 36 members without evicting, so this pins
+    # the dominance scan and the leader picks on a wide archive.
+    "avp_analog-omopso-wide-archive": (
+        golden_config("avp_analog", "omopso", {"swarm_size": 60, "archive_size": 60}, 32),
+        "e2dc44a6c9de00f0220f140323734aa46653080e7b206b079f6531548aadd117",
+        "158cc3cc8a127aa60e3681c086be2cc28232b9ba8a036f600c1b1f7d9d2fede2",
+    ),
 }
 
 

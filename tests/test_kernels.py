@@ -471,6 +471,48 @@ def test_fitness_batch_matches_stack_reference(name, params, reference, probe_di
     assert _cache_key(problem, "grid", {"k": 8})["fitness_probe"] == probe_digest
 
 
+def two_norm_two_ball(c1, c2):
+    """Reference: two_ball's fitness_batch as one ``_row_norms`` expression per centre."""
+    a = np.asarray(c1, dtype=float)
+    b = np.asarray(c2, dtype=float)
+
+    def fitness_batch(points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        out = np.empty((len(pts), 2))
+        out[:, 0] = np.sqrt(np.add.reduce((pts - a) * (pts - a), axis=1))
+        out[:, 1] = np.sqrt(np.add.reduce((pts - b) * (pts - b), axis=1))
+        return out
+
+    return fitness_batch
+
+
+#: Unit-square rows on the bounds, at the corners and with each sign of zero.
+EDGE_ROWS = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 1.0],
+                      [0.0, 1.0], [1.0, -0.0], [-0.0, 0.5], [0.45, 0.5], [0.55, 0.5],
+                      [0.5, 0.5], [1.0, 0.25]])
+
+
+@pytest.mark.parametrize("centres", [{}, {"c1": (0.0, 0.0), "c2": (1.0, 1.0)},
+                                     {"c1": (-0.0, 0.5), "c2": (0.5, -0.0)},
+                                     {"c1": (0.2, 0.3), "c2": (0.7, 0.65)}])
+def test_two_ball_broadcast_kernel_equals_two_row_norms(centres):
+    problem = get_problem("two_ball", "Large", **centres)
+    reference = two_norm_two_ball(centres.get("c1", (0.45, 0.5)), centres.get("c2", (0.55, 0.5)))
+    rng = make_rng(7)
+    batches = [EDGE_ROWS, rng.uniform(0.0, 1.0, size=(5_000, 2)), np.empty((0, 2))]
+    for batch in batches:
+        got, want = problem.fitness_batch(batch), reference(batch)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+    # One row gives the doubles of the same row inside a batch.
+    batch = np.concatenate([EDGE_ROWS, batches[1][:100]])
+    whole = problem.fitness_batch(batch)
+    for k, x in enumerate(batch):
+        assert problem.fitness_batch(x[None, :]).tobytes() == whole[k : k + 1].tobytes()
+        assert problem.fitness(x).tobytes() == whole[k].tobytes()
+
+
 # --- NSGA-II: environmental selection and the generation loop ----------------------
 
 
@@ -769,7 +811,7 @@ def array_nonuniform_turbulence(
 
 
 class SizeTwoDrawArchive(LeaderArchive):
-    def select_leader(self, rng: np.random.Generator) -> np.ndarray:
+    def select_leader(self, rng: np.random.Generator) -> list[float]:
         """Binary tournament on crowding distance (less crowded member wins)."""
         if not len(self):
             raise ValueError("cannot select a leader from an empty archive")
@@ -958,8 +1000,7 @@ def test_select_leader_matches_size_two_draw_reference(fitness, capacity, seed):
         assert got.add([k, -k], f) == want.add([k, -k], f)
     rng_got, rng_want = make_rng(seed), make_rng(seed)
     for _ in range(20):
-        assert_same_floats(got.select_leader(rng_got).tolist(),
-                           want.select_leader(rng_want))
+        assert_same_floats(got.select_leader(rng_got), want.select_leader(rng_want))
         assert rng_got.random() == rng_want.random()
     assert_same_draws(rng_got, rng_want)
 
