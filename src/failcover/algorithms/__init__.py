@@ -6,7 +6,9 @@ novelty archive and repopulation (``nsga2d``), and the swarm-based
 ``omopso``.
 ``nsga2`` and ``nsga2d`` share one runner, :func:`run_nsga2`, which
 diversifies when its config is an :class:`NsgaDConfig`. :data:`REGISTRY` is
-the one table of what each accepts, keyed by config name.
+the one table of what each accepts, keyed by config name. This package exports
+the registry, the configs and the runners; the operators and archives are
+imported from :mod:`.nsga2` and :mod:`.omopso`.
 """
 
 from __future__ import annotations
@@ -16,28 +18,8 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from ..core import ProblemDefinition, RunLog
-from .nsga2 import (
-    NoveltyArchive,
-    Nsga2Config,
-    NsgaDConfig,
-    archive_insert,
-    binary_tournament,
-    crowding_distance,
-    environmental_selection,
-    fast_nondominated_sort,
-    novelty_distance,
-    novelty_distances,
-    polynomial_mutation,
-    run_nsga2,
-    sbx_crossover,
-)
-from .omopso import (
-    LeaderArchive,
-    OmopsoConfig,
-    inertia_at,
-    reflect_boundary,
-    run_omopso,
-)
+from .nsga2 import Nsga2Config, NsgaDConfig, run_nsga2
+from .omopso import OmopsoConfig, run_omopso
 from .random_search import RandomSearchConfig, run_random_search
 
 
@@ -95,26 +77,13 @@ __all__ = [
     "ALGORITHM_NAMES",
     "REGISTRY",
     "Algorithm",
-    "LeaderArchive",
-    "NoveltyArchive",
     "Nsga2Config",
     "NsgaDConfig",
     "OmopsoConfig",
     "RandomSearchConfig",
-    "archive_insert",
-    "binary_tournament",
-    "crowding_distance",
-    "environmental_selection",
-    "fast_nondominated_sort",
-    "inertia_at",
     "make_config",
-    "novelty_distance",
-    "novelty_distances",
-    "polynomial_mutation",
-    "reflect_boundary",
     "run_algorithm",
     "run_nsga2",
     "run_omopso",
     "run_random_search",
-    "sbx_crossover",
 ]

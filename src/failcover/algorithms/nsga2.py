@@ -15,8 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import ProblemDefinition, RunLog, SearchSpace, check_finite_real, check_integer
-from ..samplers import lhs_sample, make_rng
+from ..core import (
+    ProblemDefinition,
+    RunLog,
+    SearchSpace,
+    check_finite_real,
+    check_integer,
+    row_norms,
+)
+from ..samplers import lhs_sample, make_rng, uniform_sample
 
 
 @dataclass(frozen=True)
@@ -243,22 +250,21 @@ class NoveltyArchive:
         return len(self.members)
 
 
-def novelty_distances(archive: NoveltyArchive, candidates: np.ndarray) -> np.ndarray:
-    """Distance from each candidate row to its nearest archive member; +inf when empty.
+def novelty_distance(archive: NoveltyArchive, x: np.ndarray) -> float | np.ndarray:
+    """Distance to the nearest archive member, +inf when the archive is empty.
 
-    Each row is bit-identical to ``np.min(np.linalg.norm(members - x, axis=1))``:
-    the same differences, squares, sums over the last axis and square roots.
+    One candidate ``(d,)`` gives a float; a batch ``(n, d)`` gives one distance
+    per row, each bit-identical to ``np.min(np.linalg.norm(members - row, axis=1))``.
     """
-    X = np.asarray(candidates, dtype=float)
-    if not len(archive):
-        return np.full(len(X), math.inf)
-    diff = archive.members[None, :, :] - X[:, None, :]
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1)).min(axis=1)
-
-
-def novelty_distance(archive: NoveltyArchive, candidate: np.ndarray) -> float:
-    """Euclidean distance to the nearest archive member; +inf for an empty archive."""
-    return float(novelty_distances(archive, np.asarray(candidate, float)[None, :])[0])
+    X = np.asarray(x, dtype=float)
+    one = X.ndim == 1
+    if one:
+        X = X[None, :]
+    if len(archive):
+        d = row_norms(archive.members[None, :, :] - X[:, None, :]).min(axis=1)
+    else:
+        d = np.full(len(X), math.inf)
+    return float(d[0]) if one else d
 
 
 def archive_insert(archive: NoveltyArchive, candidate: np.ndarray) -> bool:
@@ -332,7 +338,7 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
         rows = log.evaluations[start:]
         if diversified:
             # The archive changes only in commit_failures, so one query serves the batch.
-            rows.novelty = novelty_distances(archive, X)
+            rows.novelty = novelty_distance(archive, X)
             pending_failures.extend(rows.input[rows.failed])
         return X, rows.fitness.copy()
 
@@ -342,7 +348,7 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
         pending_failures.clear()
 
     def objectives(X: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return np.column_stack([F, -novelty_distances(archive, X)]) if diversified else F
+        return np.column_stack([F, -novelty_distance(archive, X)]) if diversified else F
 
     population, fitness = evaluate(lhs_sample(space, mu, rng))
     commit_failures()
@@ -364,7 +370,7 @@ def run_nsga2(problem: ProblemDefinition, config: Nsga2Config, seed: int) -> Run
             # Repopulation: victims ordered worst front first, least crowded first,
             # by the selection's ranks (the archive has not changed since).
             victims = np.lexsort((crowding, -ranks))[: min(n_replace, log.remaining)]
-            fresh = rng.uniform(space.lows, space.highs, size=(len(victims), space.dims))
+            fresh = uniform_sample(space, len(victims), rng)
             population[victims], fitness[victims] = evaluate(fresh)
             commit_failures()
             ranks, crowding = rank_and_crowd(objectives(population, fitness))

@@ -37,7 +37,7 @@ from ..core import (
     check_integer,
     dominates,
 )
-from ..samplers import make_rng
+from ..samplers import make_rng, uniform_sample
 from .nsga2 import crowding_distance
 
 
@@ -53,19 +53,15 @@ class OmopsoConfig:
     budget: int = 2000
 
     def __post_init__(self) -> None:
-        check_integer("swarm_size", self.swarm_size)
+        check_integer("swarm_size", self.swarm_size, 1)
         if self.archive_size is not None:
-            check_integer("archive_size", self.archive_size)
+            check_integer("archive_size", self.archive_size, 1)
         for name in ("w_min", "w_max", "mutation_rate", "c_min", "c_max"):
             check_finite_real(name, getattr(self, name))
-        if self.swarm_size < 1:
-            raise ValueError(f"swarm_size must be positive, got {self.swarm_size}")
         if not 0.0 < self.w_min < self.w_max < 1.0:
             raise ValueError(
                 f"need 0 < w_min < w_max < 1, got ({self.w_min}, {self.w_max})"
             )
-        if self.archive_size is not None and self.archive_size < 1:
-            raise ValueError(f"archive_size must be positive, got {self.archive_size}")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
         if not 0.0 < self.c_min <= self.c_max:
@@ -131,9 +127,7 @@ class LeaderArchive:
     """
 
     def __init__(self, capacity: int):
-        check_integer("archive capacity", capacity)
-        if capacity < 1:
-            raise ValueError(f"archive capacity must be positive, got {capacity}")
+        check_integer("archive capacity", capacity, 1)
         self.capacity = capacity
         self.positions: list[list[float]] = []
         self.fitness: list[list[float]] = []
@@ -249,7 +243,7 @@ def run_omopso(problem: ProblemDefinition, config: OmopsoConfig, seed: int) -> R
     # c_min + c_span * rng.random() is rng.uniform(c_min, c_max), at a third of the cost.
     c_min, c_span = float(config.c_min), float(config.c_max) - float(config.c_min)
 
-    positions = rng.uniform(space.lows, space.highs, size=(swarm, space.dims)).tolist()
+    positions = uniform_sample(space, swarm, rng).tolist()
     pbest_fit = [log.evaluate(x).tolist() for x in positions]
     archive = LeaderArchive(config.effective_archive_size)
     for x, f in zip(positions, pbest_fit):

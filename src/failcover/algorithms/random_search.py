@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import ProblemDefinition, RunLog, check_integer
-from ..samplers import make_rng
+from ..samplers import make_rng, uniform_sample
 
 
 @dataclass(frozen=True)
@@ -14,9 +14,7 @@ class RandomSearchConfig:
     budget: int = 2000
 
     def __post_init__(self) -> None:
-        check_integer("batch_size", self.batch_size)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        check_integer("batch_size", self.batch_size, 1)
 
 
 def run_random_search(
@@ -34,6 +32,6 @@ def run_random_search(
     while log.remaining > 0:
         log.generation = log.used // config.batch_size
         k = min(config.batch_size, log.remaining)
-        for x in rng.uniform(space.lows, space.highs, size=(k, space.dims)):
+        for x in uniform_sample(space, k, rng):
             log.evaluate(x)
     return log

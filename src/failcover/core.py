@@ -45,10 +45,13 @@ def atomic_open(path: Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def check_integer(name: str, value: object) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``bool`` is not)."""
+def check_integer(name: str, value: object, minimum: int | None = None) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``bool`` is not)
+    of at least ``minimum``, when one is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 def check_finite_real(name: str, value: object) -> None:
@@ -56,6 +59,11 @@ def check_finite_real(name: str, value: object) -> None:
     finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     if isinstance(value, bool) or not finite:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, bit for bit ``np.linalg.norm(d, axis=-1)``."""
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 class BudgetExhausted(Exception):
@@ -79,6 +87,8 @@ class SearchSpace:
         for i, (lo, hi) in enumerate(bounds):
             if not lo < hi:
                 raise ValueError(f"bounds[{i}]: lower bound must be below upper, got ({lo}, {hi})")
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"bounds[{i}]: width must be finite, got ({lo}, {hi})")
         object.__setattr__(self, "bounds", bounds)
 
     @property
@@ -152,12 +162,12 @@ class OracleSpec:
     variant_label: str = "Custom"
 
     def __post_init__(self) -> None:
+        for i, t in self.clauses:
+            check_integer("objective index", i, 0)
+            check_finite_real("oracle threshold", t)
         clauses = tuple((int(i), float(t)) for i, t in self.clauses)
         if not clauses:
             raise ValueError("oracle needs at least one clause")
-        for i, _ in clauses:
-            if i < 0:
-                raise ValueError(f"objective index must be non-negative, got {i}")
         object.__setattr__(self, "clauses", clauses)
 
     @cached_property
@@ -242,9 +252,7 @@ class RunLog:
     """
 
     def __init__(self, problem: ProblemDefinition, budget: int):
-        check_integer("budget", budget)
-        if budget < 1:
-            raise ValueError(f"budget must be at least 1, got {budget}")
+        check_integer("budget", budget, 1)
         self.problem = problem
         self.budget = int(budget)
         self.generation = 0

@@ -24,13 +24,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ProblemDefinition, RunLog, atomic_open, check_finite_real
-from .samplers import grid_step_diagonal, make_rng, sample_by_name
+from .core import ProblemDefinition, RunLog, atomic_open, check_finite_real, check_integer
+from .samplers import grid_step_diagonal, make_rng, sample_by_name, uniform_sample
 
 
 class ReferenceSetIntegrityError(RuntimeError):
@@ -148,8 +149,7 @@ def convergence_series(
     Checkpoints sit at each multiple of the interval and at the final
     evaluation; the CID entry is None until the first failure appears.
     """
-    if interval < 1:
-        raise ValueError(f"checkpoint interval must be positive, got {interval}")
+    check_integer("checkpoint interval", interval, 1)
     Z = _as_points(reference, "reference set")
     if len(Z) == 0:
         raise ValueError("reference set is empty; CID needs at least one reference point")
@@ -272,8 +272,7 @@ def _cache_key(problem: ProblemDefinition, strategy: str, params: dict) -> dict:
     fitness itself (two_ball's centers, two_region's boxes) show in the fitness
     at a fixed set of probe points.
     """
-    probe = make_rng(0).uniform(problem.space.lows, problem.space.highs,
-                                size=(16, problem.space.dims))
+    probe = uniform_sample(problem.space, 16, make_rng(0))
     return {
         "format": _CACHE_FORMAT,
         "problem": problem.name,
@@ -313,10 +312,15 @@ def _parse_points_csv(payload: bytes, source: Path) -> np.ndarray:
     header, *rows = list(csv.reader(payload.decode().splitlines())) or [[]]
     if not header or not header[0].startswith("x"):
         raise ValueError(f"{source}: expected a header row x1,...,xn")
+    points = []
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise ValueError(f"{source}: line {line} holds {len(row)} values, not {len(header)}")
-    return np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), len(header))
+        point = [float(v) for v in row]
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"{source}: line {line} holds a value that is not finite: {row}")
+        points.append(point)
+    return np.array(points).reshape(len(rows), len(header))
 
 
 def read_points(csv_path: str | Path) -> np.ndarray:

@@ -111,11 +111,11 @@ def _string(mapping: dict, key: str, path: str) -> str:
     return value
 
 
-def _integer(mapping: dict, key: str, path: str, default: int | None = None) -> int:
-    """``mapping[key]`` (or ``default``) as an int; ``ConfigError`` unless it is an integer."""
+def _integer(mapping: dict, key: str, path: str, minimum: int, default: int | None = None) -> int:
+    """``mapping[key]`` (or ``default``); ``ConfigError`` unless an integer >= ``minimum``."""
     value = _require(mapping, key, path) if default is None else mapping.get(key, default)
     try:
-        check_integer(f"{path}.{key}", value)
+        check_integer(f"{path}.{key}", value, minimum)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return int(value)
@@ -162,9 +162,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.problem.params: {exc}") from exc
 
-    budget = _integer(raw, "budget", "config")
-    if budget < 1:
-        raise ConfigError(f"config.budget: must be positive, got {budget}")
+    budget = _integer(raw, "budget", "config", 1)
 
     raw_algorithms = _require(raw, "algorithms", "config")
     if not isinstance(raw_algorithms, list) or not raw_algorithms:
@@ -196,12 +194,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if len({a.name for a in algorithms}) != len(algorithms):
         raise ConfigError("config.algorithms: each algorithm may appear only once")
 
-    repetitions = _integer(raw, "repetitions", "config", DEFAULT_REPETITIONS)
-    if repetitions < 1:
-        raise ConfigError(f"config.repetitions: must be positive, got {repetitions}")
-    base_seed = _integer(raw, "base_seed", "config")
-    if base_seed < 0:
-        raise ConfigError(f"config.base_seed: must be non-negative, got {base_seed}")
+    repetitions = _integer(raw, "repetitions", "config", 1, DEFAULT_REPETITIONS)
+    base_seed = _integer(raw, "base_seed", "config", 0)
 
     refset = _require(raw, "refset", "config")
     _reject_unknown(refset, {"strategy", "params", "path"}, "config.refset")
@@ -224,9 +218,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         cid_params = CidParams(p=cid_raw.get("p", 2.0), q=cid_raw.get("q", 1.0))
     except ValueError as exc:
         raise ConfigError(f"config.cid: {exc}") from exc
-    cid_interval = _integer(cid_raw, "interval", "config.cid", DEFAULT_CID_INTERVAL)
-    if cid_interval < 1:
-        raise ConfigError(f"config.cid.interval: must be positive, got {cid_interval}")
+    cid_interval = _integer(cid_raw, "interval", "config.cid", 1, DEFAULT_CID_INTERVAL)
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

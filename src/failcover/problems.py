@@ -30,15 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OracleSpec, ProblemDefinition, check_finite_real, unit_box
+from .core import OracleSpec, ProblemDefinition, check_finite_real, row_norms, unit_box
 from .samplers import grid_sample
 
 VARIANTS = ("Large", "Medium", "Small")
-
-
-def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit for bit what numpy's ``linalg.norm`` gives along axis 1."""
-    return np.sqrt(np.add.reduce(d * d, axis=1))
 
 
 @dataclass(frozen=True)
@@ -89,10 +84,8 @@ def build_two_ball(
     centres = np.stack([a, b])
 
     def fitness_batch(points: np.ndarray) -> np.ndarray:
-        # Both distances in one broadcast: row i, column k is |points[i] - centres[k]|,
-        # each sum of squares one 2-term add, the doubles of _row_norms per centre.
-        d = np.asarray(points, dtype=float)[:, None, :] - centres
-        return np.sqrt(np.add.reduce(d * d, axis=2))
+        # Both distances in one broadcast: row i, column k is |points[i] - centres[k]|.
+        return row_norms(np.asarray(points, dtype=float)[:, None, :] - centres)
 
     label = variant if (t1, t2) == TWO_BALL_RADII.get(variant) else "Custom"
     oracle = OracleSpec(clauses=((0, float(t1)), (1, float(t2))), variant_label=label)
@@ -124,7 +117,7 @@ TWO_REGION_MARGINS = {"Large": 0.05, "Medium": 0.02, "Small": 1e-9}
 
 def _box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     excess = np.maximum(np.maximum(lo - points, points - hi), 0.0)
-    return _row_norms(excess)
+    return row_norms(excess)
 
 
 def build_two_region(
@@ -162,7 +155,7 @@ def build_two_region(
         pts = np.asarray(points, dtype=float)
         out = np.empty((len(pts), 2))
         out[:, 0] = np.minimum(_box_distance(pts, a_lo, a_hi), _box_distance(pts, b_lo, b_hi))
-        out[:, 1] = _row_norms(pts - center_a)
+        out[:, 1] = row_norms(pts - center_a)
         return out
 
     label = variant if margin == TWO_REGION_MARGINS.get(variant) else "Custom"
@@ -207,7 +200,7 @@ def build_avp_analog(variant: str = "Large") -> ProblemDefinition:
     def fitness_batch(points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         out = np.empty((len(pts), 2))
-        out[:, 0] = _row_norms(pts[:, :2] - _AVP_TARGET) - 0.2 * np.sin(3.0 * np.pi * pts[:, 2])
+        out[:, 0] = row_norms(pts[:, :2] - _AVP_TARGET) - 0.2 * np.sin(3.0 * np.pi * pts[:, 2])
         out[:, 1] = -pts[:, 0] * (1.0 - 0.5 * pts[:, 2])
         return out
 

@@ -45,20 +45,13 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _check_count(strategy: str, key: str, value: object, low: int) -> None:
-    name = f"{strategy} sampler parameter {key}"
-    check_integer(name, value)
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-
-
 def _check_size(what: str, size: float) -> None:
     if size > MAX_SAMPLER_CELLS:
         raise ValueError(f"{what} would hold {size:,.0f} entries, above {MAX_SAMPLER_CELLS=:,}")
 
 
 def _check_grid(space: SearchSpace, k: int) -> None:
-    _check_count("grid", "k", k, 2)
+    check_integer("grid sampler parameter k", k, 2)
     _check_size(f"grid sampler: k**{space.dims}", int(k) ** space.dims)
 
 
@@ -83,7 +76,7 @@ def _check_n(strategy: str) -> Callable[..., None]:
     """The check of a strategy whose one parameter is its sample count ``n``."""
 
     def check(space: SearchSpace, n: int) -> None:
-        _check_count(strategy, "n", n, 1)
+        check_integer(f"{strategy} sampler parameter n", n, 1)
         _check_size(f"{strategy} sampler: n", n)
 
     return check
@@ -151,9 +144,9 @@ def _fps_pool_size(space: SearchSpace, n: int, candidate_pool_size: int | None) 
 
 
 def _check_fps(space: SearchSpace, n: int, candidate_pool_size: int | None = None) -> None:
-    _check_count("fps", "n", n, 1)
+    check_integer("fps sampler parameter n", n, 1)
     if candidate_pool_size is not None:
-        _check_count("fps", "candidate_pool_size", candidate_pool_size, n)
+        check_integer("fps sampler parameter candidate_pool_size", candidate_pool_size, n)
     _check_size("fps sampler: candidate pool", _fps_pool_size(space, n, candidate_pool_size))
 
 
@@ -174,7 +167,7 @@ def fps_sample(
     _check_fps(space, n, candidate_pool_size if pool is None else len(pool))
     if pool is None:
         size = _fps_pool_size(space, n, candidate_pool_size)
-        pool = rng.uniform(space.lows, space.highs, size=(size, space.dims))
+        pool = uniform_sample(space, size, rng)
     else:
         pool = np.asarray(pool, dtype=float)
 
@@ -215,7 +208,7 @@ def _check_poisson(space: SearchSpace, r: float,
     check_finite_real("poisson sampler parameter r", r)
     if r <= 0:
         raise ValueError(f"poisson sampler parameter r must be positive, got {r}")
-    _check_count("poisson", "attempts_per_point", attempts_per_point, 1)
+    check_integer("poisson sampler parameter attempts_per_point", attempts_per_point, 1)
     # No neighbour offset is longer than the box diagonal, so where its square
     # is finite no ddot neighbour length overflows to inf.
     widths = [hi - lo for lo, hi in space.bounds]
@@ -292,7 +285,7 @@ def poisson_disc_sample(
         active.append(len(points))
         points.append(point)
 
-    first = rng.uniform(space.lows, space.highs).tolist()
+    first = uniform_sample(space, 1, rng)[0].tolist()
     accept(first, [int((c - lo) // cell) for c, lo in zip(first, lows)])
 
     while active:

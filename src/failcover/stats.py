@@ -31,11 +31,12 @@ import numpy as np
 RANK_SUM_EXACT_LIMIT = 20
 SIGNED_RANK_EXACT_LIMIT = 20
 
-MAGNITUDES = ("negligible", "small", "medium", "large")
 
-
-def _two_sided_from_counts(at_most: int, at_least: int, total: int) -> float:
-    return min(1.0, 2.0 * min(at_most, at_least) / total)
+def _exact_two_sided(counts: np.ndarray, statistic: int) -> float:
+    """Two-sided exact p of ``statistic``: twice its smaller tail under the null ``counts``."""
+    at_most = int(counts[: statistic + 1].sum())
+    at_least = int(counts[statistic:].sum())
+    return min(1.0, 2.0 * min(at_most, at_least) / int(counts.sum()))
 
 
 def _normal_two_sided(offset: float, variance: float) -> float:
@@ -82,11 +83,7 @@ def wilcoxon_rank_sum(x, y) -> float:
 
     tie_free = len(np.unique(pooled)) == total
     if tie_free and total <= RANK_SUM_EXACT_LIMIT:
-        counts = _rank_sum_null_counts(total, n)
-        w_int = int(round(w))
-        at_most = int(counts[: w_int + 1].sum())
-        at_least = int(counts[w_int:].sum())
-        return _two_sided_from_counts(at_most, at_least, int(counts.sum()))
+        return _exact_two_sided(_rank_sum_null_counts(total, n), int(round(w)))
 
     mean = n * (total + 1) / 2.0
     variance = n * m * (total + 1) / 12.0 - n * m * _tie_term(pooled) / (
@@ -129,11 +126,7 @@ def wilcoxon_signed_rank(x, y) -> float:
 
     if n <= SIGNED_RANK_EXACT_LIMIT:
         doubled = np.rint(2.0 * ranks).astype(np.int64)
-        counts = _signed_rank_null_counts(doubled)
-        w2 = int(round(2.0 * w_plus))
-        at_most = int(counts[: w2 + 1].sum())
-        at_least = int(counts[w2:].sum())
-        return _two_sided_from_counts(at_most, at_least, int(counts.sum()))
+        return _exact_two_sided(_signed_rank_null_counts(doubled), int(round(2.0 * w_plus)))
 
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(diff)) / 48.0

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import rankdata
 
 import failcover as fc
-from failcover.algorithms import crowding_distance, fast_nondominated_sort
+from failcover.algorithms.nsga2 import crowding_distance, fast_nondominated_sort
 from failcover.coverage import CidParams
 from failcover.harness import parse_config, run_experiment, compare
 from failcover.samplers import make_rng

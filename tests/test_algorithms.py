@@ -15,26 +15,26 @@ from hypothesis import strategies as st
 import failcover
 
 from failcover.algorithms import (
-    LeaderArchive,
-    NoveltyArchive,
     Nsga2Config,
     NsgaDConfig,
     OmopsoConfig,
     RandomSearchConfig,
-    archive_insert,
-    crowding_distance,
-    fast_nondominated_sort,
-    inertia_at,
-    novelty_distance,
-    polynomial_mutation,
-    reflect_boundary,
+    omopso,
     run_algorithm,
     run_nsga2,
     run_omopso,
     run_random_search,
+)
+from failcover.algorithms.nsga2 import (
+    NoveltyArchive,
+    archive_insert,
+    crowding_distance,
+    fast_nondominated_sort,
+    novelty_distance,
+    polynomial_mutation,
     sbx_crossover,
 )
-from failcover.algorithms import omopso
+from failcover.algorithms.omopso import LeaderArchive, inertia_at, reflect_boundary
 from failcover.core import RunLog, dominates, unit_box
 from failcover.coverage import first_failure_iteration
 from failcover.problems import doi_volume_estimate, get_problem
@@ -393,7 +393,7 @@ def test_reflect_boundary_raises_where_reflection_never_ends():
     # Run in a child process: a reflection loop that never ends cannot be
     # interrupted from inside the test process.
     code = """
-from failcover.algorithms import reflect_boundary
+from failcover.algorithms.omopso import reflect_boundary
 for position in ("inf", "-inf", "1e17", "-1e17", "1e300"):
     try:
         reflect_boundary(float(position), 0.0, 0.0, 1.0)

@@ -14,14 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from failcover.algorithms import (
-    LeaderArchive,
+from failcover.algorithms.nsga2 import (
     NoveltyArchive,
     archive_insert,
     crowding_distance,
     novelty_distance,
-    novelty_distances,
 )
+from failcover.algorithms.omopso import LeaderArchive
 from failcover.samplers import make_rng
 
 
@@ -178,10 +177,13 @@ def test_novelty_distances_equal_per_row_distance_exactly(n_members, dims):
     for _ in range(n_members):
         assert archive_insert(archive, rng.uniform(-1, 1, dims))
     X = rng.uniform(-1, 1, size=(31, dims))
-    batch = novelty_distances(archive, X)
+    batch = novelty_distance(archive, X)
     assert batch.shape == (31,)
+    assert novelty_distance(archive, X[:0]).shape == (0,)
+    assert novelty_distance(archive, X[:1]).tobytes() == batch[:1].tobytes()
     for k in range(len(X)):
-        assert batch[k] == novelty_distance(archive, X[k])
+        one = novelty_distance(archive, X[k])
+        assert type(one) is float and one == batch[k]
         if n_members:
             M = np.array(archive.members)
             assert batch[k] == np.min(np.linalg.norm(M - X[k], axis=1))

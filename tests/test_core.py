@@ -1,5 +1,6 @@
 """Core model: dominance, oracles, search spaces, and the run log."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from failcover.core import (
     ProblemDefinition,
     RunLog,
     SearchSpace,
+    check_integer,
     dominates,
+    row_norms,
     unit_box,
 )
 
@@ -22,6 +25,31 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 def vectors(dim: int):
     return st.lists(finite_floats, min_size=dim, max_size=dim)
+
+
+def test_check_integer_takes_an_optional_minimum():
+    check_integer("k", 3, 3)
+    check_integer("k", np.int64(-2))
+    with pytest.raises(ValueError, match="^k must be at least 3, got 2$"):
+        check_integer("k", 2, 3)
+    with pytest.raises(ValueError, match="^k must be at least 0, got -1$"):
+        check_integer("k", np.int64(-1), 0)
+    for value in (True, False, 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match="^k must be an integer, got "):
+            check_integer("k", value, 0)
+
+
+#: Signed zeros, magnitudes whose squares underflow or overflow, and plain values.
+NORM_VALUES = [0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200, 0.3, -2.5, 7.0]
+
+
+@pytest.mark.parametrize("shape", [(81, 2), (9, 9, 2), (18, 9)])
+def test_row_norms_equal_linalg_norm_as_bytes(shape):
+    d = np.array(list(itertools.product(NORM_VALUES, repeat=2))).reshape(shape)
+    with np.errstate(over="ignore"):
+        got, want = row_norms(d), np.linalg.norm(d, axis=-1)
+    assert got.shape == want.shape == shape[:-1]
+    assert got.tobytes() == want.tobytes()
 
 
 # --- dominance ---------------------------------------------------------------
@@ -120,6 +148,25 @@ def test_oracle_invalid_index():
         oracle.mask(np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("clause, message", [
+    ((1.7, 0.0), "objective index must be an integer, got 1.7"),
+    ((True, 0.0), "objective index must be an integer, got True"),
+    ((-1, 0.0), "objective index must be at least 0, got -1"),
+    ((0, math.nan), "oracle threshold must be a finite real number, got nan"),
+    ((0, -math.inf), "oracle threshold must be a finite real number, got -inf"),
+    ((0, "0.5"), "oracle threshold must be a finite real number, got '0.5'"),
+])
+def test_oracle_refuses_a_bad_clause(clause, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OracleSpec(clauses=((0, 1.0), clause))
+
+
+def test_oracle_takes_numpy_scalars_as_plain_numbers():
+    oracle = OracleSpec(clauses=((np.int64(1), np.float64(0.5)),))
+    assert oracle.clauses == ((1, 0.5),)
+    assert [type(v) for v in oracle.clauses[0]] == [int, float]
+
+
 def test_oracle_needs_clauses():
     with pytest.raises(ValueError, match="clause"):
         OracleSpec(clauses=())
@@ -158,6 +205,15 @@ def test_search_space_contains_and_clip():
     np.testing.assert_allclose(space.center, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("bounds", [
+    ((0.0, math.inf),), ((-math.inf, 0.0),), ((-1e308, 1e308),), ((0.0, 1.0), (-1e308, 1e308)),
+])
+def test_search_space_refuses_a_box_of_infinite_width(bounds):
+    # Such a box made uniform draws overflow, lhs return inf and grid return NaN.
+    with pytest.raises(ValueError, match=rf"bounds\[{len(bounds) - 1}\]: width must be finite"):
+        SearchSpace(bounds)
+
+
 #: Values on, inside and outside the bounds below, both zeros, infinities and NaN.
 CLIP_VALUES = [-math.inf, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan]
 
@@ -187,8 +243,9 @@ def array_contains(space, x):
     return bool(((x >= space.lows) & (x <= space.highs)).all())
 
 
+# A box of infinite width is refused, so the widest bounds here are finite.
 @pytest.mark.parametrize(
-    "lo, hi", [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-math.inf, 0.5), (-1.0, math.inf)]
+    "lo, hi", [(0.0, 1.0), (-0.0, 1.0), (-1.0, -0.0), (-1e308, 0.5), (-1.0, 1e308)]
 )
 def test_contains_equals_the_array_expression_on_edge_values(lo, hi):
     space = SearchSpace(((lo, hi), (-1.0, 1.0)))
@@ -208,7 +265,8 @@ def test_contains_equals_the_array_expression_on_edge_values(lo, hi):
 @settings(max_examples=400, deadline=None)
 def test_contains_equals_the_array_expression(data, dims, shape):
     bound = st.sampled_from(CLIP_VALUES[:-1]) | st.floats(-10.0, 10.0)
-    pair = st.tuples(bound, bound).filter(lambda b: b[0] < b[1])
+    # An infinite bound is still drawn as a coordinate, but a box must have finite width.
+    pair = st.tuples(bound, bound).filter(lambda b: b[0] < b[1] and math.isfinite(b[1] - b[0]))
     space = SearchSpace(tuple(data.draw(st.lists(pair, min_size=dims, max_size=dims))))
     # Coordinates on the bounds, just beside them, or anywhere, NaN and inf included.
     coord = (st.sampled_from([v for lo_hi in space.bounds for v in lo_hi] + CLIP_VALUES)

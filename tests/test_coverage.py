@@ -1,6 +1,7 @@
 """Coverage metrics: the CID formula and its properties, convergence series,
 failure metrics, and reference-set construction with persistence."""
 
+import hashlib
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -224,6 +225,9 @@ def test_series_interval_validation():
     hist = fake_history([[0.1, 0.1]], [True])
     with pytest.raises(ValueError, match="interval"):
         convergence_series(hist, np.array([[0.0, 0.0]]), interval=0)
+    for interval in (2.5, True):  # a TypeError from range and a silent interval of 1 before
+        with pytest.raises(ValueError, match="checkpoint interval must be an integer"):
+            convergence_series(hist, np.array([[0.0, 0.0]]), interval=interval)
 
 
 @pytest.mark.parametrize("failed", [[True, False], [False, False]])
@@ -595,6 +599,21 @@ def test_point_rows_must_match_the_header(tmp_path, body, line):
     path.write_text("x1,x2\n" + body)
     for read in (read_points, load_reference_set):
         with pytest.raises(ValueError, match=f"points.csv: line {line} holds"):
+            read(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_point_files_refuse_a_value_that_is_not_finite(tmp_path, value):
+    path = tmp_path / "points.csv"
+    payload = f"x1,x2\n0.5,0.5\n{value},0.5\n"
+    path.write_text(payload)
+    # A sidecar that vouches for the bytes does not make them usable points.
+    path.with_suffix(".json").write_text(json.dumps({
+        "content_hash": hashlib.sha256(payload.encode()).hexdigest(),
+        "max_adjacent_distance": 0.1,
+    }))
+    for read in (read_points, load_reference_set):
+        with pytest.raises(ValueError, match="points.csv: line 3 holds a value that is not finite"):
             read(path)
 
 

@@ -2,16 +2,31 @@
 report rendering, and the command line."""
 
 import csv
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from failcover import harness
+from failcover.algorithms import OmopsoConfig, RandomSearchConfig
+from failcover.algorithms.omopso import LeaderArchive
 from failcover.cli import main as cli_main
+from failcover.core import OracleSpec, RunLog, unit_box
+from failcover.coverage import convergence_series
 from failcover.problems import get_problem
-from failcover.samplers import STRATEGIES, make_rng, sample_by_name
+from failcover.samplers import (
+    STRATEGIES,
+    fps_sample,
+    grid_sample,
+    lhs_sample,
+    make_rng,
+    poisson_disc_sample,
+    sample_by_name,
+    uniform_sample,
+)
 from failcover.harness import (
     ConfigError,
     compare,
@@ -167,6 +182,41 @@ def test_bad_refset_params_rejected_at_load():
 def test_top_level_integer_fields_must_be_integers(field, value):
     with pytest.raises(ConfigError, match=rf"config\.{field} must be an integer"):
         parse_config(make_config(**{field: value}))
+
+
+#: Every check that moved onto ``check_integer``'s minimum: its name, that minimum,
+#: and a call that checks one value.
+INTEGER_CHECKS = {
+    "budget": (1, lambda v: RunLog(get_problem("two_ball"), v)),
+    "batch_size": (1, lambda v: RandomSearchConfig(batch_size=v)),
+    "swarm_size": (1, lambda v: OmopsoConfig(swarm_size=v)),
+    "archive_size": (1, lambda v: OmopsoConfig(archive_size=v)),
+    "archive capacity": (1, LeaderArchive),
+    "config.budget": (1, lambda v: parse_config(make_config(budget=v))),
+    "config.repetitions": (1, lambda v: parse_config(make_config(repetitions=v))),
+    "config.base_seed": (0, lambda v: parse_config(make_config(base_seed=v))),
+    "config.cid.interval": (1, lambda v: parse_config(make_config(cid={"interval": v}))),
+    "checkpoint interval": (1, lambda v: convergence_series(
+        RunLog(get_problem("two_ball"), 1), [[0.5, 0.5]], interval=v)),
+    "objective index": (0, lambda v: OracleSpec(clauses=((v, 0.0),))),
+    "grid sampler parameter k": (2, lambda v: grid_sample(unit_box(2), v)),
+    "lhs sampler parameter n": (1, lambda v: lhs_sample(unit_box(2), v, make_rng(0))),
+    "uniform sampler parameter n": (1, lambda v: uniform_sample(unit_box(2), v, make_rng(0))),
+    "fps sampler parameter n": (1, lambda v: fps_sample(unit_box(2), v, make_rng(0))),
+    "poisson sampler parameter attempts_per_point": (
+        1, lambda v: poisson_disc_sample(unit_box(2), 0.3, make_rng(0), v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CHECKS))
+def test_each_integer_check_refuses_its_old_bad_values(name):
+    minimum, check = INTEGER_CHECKS[name]
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(name)} must be at least {minimum}, got {minimum - 1}$"):
+        check(minimum - 1)
+    for value in (minimum + 0.5, True, str(minimum)):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
+            check(value)
 
 
 @pytest.mark.parametrize("value", [40.5, "40", False])
@@ -530,6 +580,21 @@ def test_refset_of_another_dimensionality_fails_before_any_run(tmp_path, monkeyp
     config_path.write_text(json.dumps(raw))
     assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     assert not list((tmp_path / "out").iterdir())
+
+
+def test_refset_file_with_a_nan_fails_before_any_run(tmp_path, monkeypatch):
+    path = tmp_path / "ref.csv"
+    payload = "x1,x2\n0.5,0.5\nnan,0.5\n"
+    path.write_text(payload)
+    path.with_suffix(".json").write_text(json.dumps(
+        {"content_hash": hashlib.sha256(payload.encode()).hexdigest()}))
+
+    def no_run(*args):
+        raise AssertionError("an algorithm ran")
+
+    monkeypatch.setattr(harness, "run_algorithm", no_run)
+    with pytest.raises(ValueError, match="ref.csv: line 3 holds a value that is not finite"):
+        run_experiment(parse_config(make_config(refset={"path": str(path)})), tmp_path / "out")
 
 
 def test_empty_refset_file_fails_before_any_run(tmp_path, monkeypatch, capsys):

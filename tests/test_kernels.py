@@ -24,32 +24,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from failcover.algorithms import (
-    LeaderArchive,
     Nsga2Config,
     NsgaDConfig,
     OmopsoConfig,
     RandomSearchConfig,
-    binary_tournament,
-    environmental_selection,
-    fast_nondominated_sort,
-    inertia_at,
-    polynomial_mutation,
-    reflect_boundary,
     run_nsga2,
     run_omopso,
     run_random_search,
-    sbx_crossover,
 )
 from failcover.algorithms.nsga2 import (
     NoveltyArchive,
     _make_offspring,
     archive_insert,
+    binary_tournament,
     crowding_distance,
+    environmental_selection,
+    fast_nondominated_sort,
     novelty_distance,
-    novelty_distances,
+    polynomial_mutation,
     rank_and_crowd,
+    sbx_crossover,
 )
-from failcover.algorithms.omopso import _nonuniform_turbulence, _uniform_turbulence
+from failcover.algorithms.omopso import (
+    LeaderArchive,
+    _nonuniform_turbulence,
+    _uniform_turbulence,
+    inertia_at,
+    reflect_boundary,
+)
 from failcover.core import ProblemDefinition, RunLog, SearchSpace, dominates, unit_box
 from failcover.coverage import _cache_key
 from failcover.problems import _AVP_TARGET, TWO_REGION_BOXES, VARIANTS, get_problem
@@ -597,7 +599,7 @@ def two_loop_run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: i
         pending_failures.clear()
 
     def augmented(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        return np.column_stack([fit, -novelty_distances(archive, pop)])
+        return np.column_stack([fit, -novelty_distance(archive, pop)])
 
     population = lhs_sample(space, config.population_size, rng)
     fitness = np.array([record(x, math.inf) for x in population])  # the archive is empty
@@ -608,7 +610,7 @@ def two_loop_run_nsga2d(problem: ProblemDefinition, config: NsgaDConfig, seed: i
         log.generation += 1
         offspring = _make_offspring(space, population, ranks, crowding, config, rng)
         # The archive changes only in commit_failures, so one query serves the batch.
-        offspring_novelty = novelty_distances(archive, np.array(offspring))
+        offspring_novelty = novelty_distance(archive, np.array(offspring))
         evaluated: list[np.ndarray] = []
         child_fitness: list[np.ndarray] = []
         for child, novelty in zip(offspring, offspring_novelty):
